@@ -15,18 +15,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .optimize import optimize_mu, sweep_loss
-from .rates import (
-    binary_entropy,
-    passive_final_key_length,
-    reassignment_demand,
-    solve_epsilon,
-)
+from .rates import seed_ledger, solve_epsilon
 from .session import run_session
 from .types import (
     CSV_COLUMNS,
@@ -40,25 +37,16 @@ __all__ = ["main"]
 
 _PARAMS_ENV = "PASSIVEQKD_PARAMS"
 
-# (flag, ProtocolParams field, converter) for every overridable parameter
-_PARAM_FLAGS = [
-    ("--dark-count-prob", "dark_count_prob", float),
-    ("--detector-efficiency", "detector_efficiency", float),
-    ("--misalignment-error", "misalignment_error", float),
-    ("--ec-efficiency", "ec_efficiency", float),
-    ("--mean-pair-number", "mean_pair_number", float),
-    ("--basis-reconciliation-factor", "basis_reconciliation_factor", float),
-    ("--phase-est-failure-prob", "phase_est_failure_prob", float),
-    ("--block-size", "block_size", int),
-    ("--extractor-failure-prob", "extractor_failure_prob", float),
-    ("--channel-loss-db", "channel_loss_db", float),
-]
+# Numeric ProtocolParams fields, each set by a flag named after it and
+# converted to its default's type; hash_family has a flag of its own.
+_PARAM_FIELDS = [f for f in dataclasses.fields(ProtocolParams) if f.name != "hash_family"]
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--params", metavar="FILE", help="parameter file (JSON or key=value)")
-    for flag, field_name, conv in _PARAM_FLAGS:
-        sub.add_argument(flag, dest=field_name, type=conv, metavar="V")
+    for f in _PARAM_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        sub.add_argument(flag, dest=f.name, type=type(f.default), metavar="V")
     sub.add_argument(
         "--hash-family",
         "--family",
@@ -71,11 +59,9 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 def _load_params(args: argparse.Namespace) -> ProtocolParams:
     path = args.params or os.environ.get(_PARAMS_ENV)
     params = ProtocolParams.from_file(path) if path else ProtocolParams()
-    overrides = {}
-    for _, field_name, _ in _PARAM_FLAGS:
-        value = getattr(args, field_name)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {
+        f.name: getattr(args, f.name) for f in _PARAM_FIELDS if getattr(args, f.name) is not None
+    }
     if args.hash_family is not None:
         overrides["hash_family"] = HashFamily.parse(args.hash_family)
     return params.replace(**overrides) if overrides else params
@@ -89,8 +75,8 @@ def _parse_loss_range(text: str, parser: argparse.ArgumentParser) -> list[float]
         start, end, step = (float(p) for p in parts)
     except ValueError:
         parser.error(f"--loss expects numeric start:end:step, got {text!r}")
-    if start < 0.0 or step <= 0.0 or end <= start:
-        parser.error("--loss requires start >= 0, step > 0, end > start")
+    if not (0.0 <= start < end < math.inf and 0.0 < step < math.inf):
+        parser.error("--loss requires finite start >= 0, step > 0, end > start")
     count = int((end - start) / step + 1e-9) + 1
     return [start + i * step for i in range(count)]
 
@@ -131,12 +117,9 @@ def _cmd_epsilon(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     families = (
         [HashFamily.parse(args.hash_family)] if args.hash_family is not None else list(HashFamily)
     )
-    supply_coeff = 1.0 - binary_entropy(rates.e_p_tilde)
     for family in families:
         eps = solve_epsilon(args.n_r, args.n_s, rates, args.ec_efficiency, family)
-        n_f = max(0.0, passive_final_key_length(args.n_s, eps, rates, args.ec_efficiency))
-        supply = (args.n_r - args.n_s + eps) * supply_coeff
-        demand = reassignment_demand(family, args.n_s - eps, n_f)
+        supply, demand, _ = seed_ledger(eps, args.n_r, args.n_s, rates, args.ec_efficiency, family)
         print(
             f"family={family.value} epsilon={eps} "
             f"seed_supply={supply!r} seed_demand={float(demand)!r}"

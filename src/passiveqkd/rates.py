@@ -4,11 +4,13 @@ The pipeline certifies two pools per block: the error-corrected sifted key
 (length ``n_s``) and the mismatched-basis outcome pool (length
 ``n_r - n_s``) whose min-entropy funds the privacy-amplification seed.
 Reassigning ``epsilon`` bits from the key into the pool trades final key
-length for seed supply; :func:`solve_epsilon` finds the cheapest trade that
-covers the configured hash family's budget.
+length for seed supply: :func:`seed_ledger` accounts for one trade and
+:func:`solve_epsilon` finds the cheapest one that covers the configured
+hash family's budget.
 
-All entropies stay real-valued through the pipeline and are floored to
-integers only at the final key-length outputs.
+All entropies stay real-valued through the analytic pipeline and are floored
+to integers only at the final key-length outputs; a session's ledger works
+in whole bits.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ __all__ = [
     "binary_entropy",
     "phase_error_upper_bound",
     "key_length_basis",
-    "key_length_total",
     "min_entropy_mismatched_per_basis",
     "min_entropy_mismatched_aggregate",
     "min_entropy_error_corrected",
     "seed_requirement",
     "reassignment_demand",
+    "seed_ledger",
     "solve_epsilon",
     "passive_final_key_length",
     "rate_point",
@@ -74,13 +76,7 @@ def phase_error_upper_bound(
 
 def key_length_basis(n_s_basis: float, e_p_up: float, e_b: float, f: float) -> float:
     """Extractable key (real-valued bits) from one basis of the sifted pool."""
-    if n_s_basis < 0:
-        raise ParameterError("n_s_basis must be non-negative")
-    return max(0.0, n_s_basis * (1.0 - binary_entropy(e_p_up) - f * binary_entropy(e_b)))
-
-
-def key_length_total(n_f_x: float, n_f_z: float) -> float:
-    return n_f_x + n_f_z
+    return min_entropy_error_corrected(n_s_basis, e_p_up, e_b, f)
 
 
 def min_entropy_mismatched_per_basis(
@@ -152,39 +148,54 @@ def reassignment_demand(family: HashFamily, n_s: float, n_f: float) -> float:
     return seed_requirement(family, n_s, n_f)
 
 
-def _epsilon_sufficient(
-    eps: int, n_r: float, n_s: float, rates: ErrorRates, f: float, family: HashFamily
-) -> bool:
+def seed_ledger(
+    eps: int, n_r: float, n_s: float, rates: ErrorRates, f: float, family: HashFamily,
+    penalty_bits: float | None = None,
+) -> tuple[float, float, float]:
+    """``(supply, demand, n_f)`` after reassigning ``eps`` sifted bits to the seed pool.
+
+    The supply ``(n_r - n_s + eps)(1 - H2(e_p_tilde))`` is the certified
+    min-entropy of the enlarged pool, ``n_f`` that of the ``n_s - eps`` key
+    bits left, and the demand is :func:`reassignment_demand` for that key.
+    A session passes ``penalty_bits`` (the leftover-hash cost of extracting
+    the seed): the supply becomes the extractor's output length,
+    ``max(0, floor(supply - penalty_bits))`` (a negative margin means no seed
+    bits, not a debt), and ``n_f`` is floored before the demand is charged.
+    """
     supply = (n_r - n_s + eps) * (1.0 - binary_entropy(rates.e_p_tilde))
-    n_f = max(
-        0.0,
-        (n_s - eps)
-        * (1.0 - binary_entropy(rates.e_p_tilde) - f * binary_entropy(rates.e_b_tilde)),
-    )
-    return supply >= reassignment_demand(family, n_s - eps, n_f)
+    n_f = min_entropy_error_corrected(n_s - eps, rates.e_p_tilde, rates.e_b_tilde, f)
+    if penalty_bits is not None:
+        supply = max(0, math.floor(supply - penalty_bits))
+        n_f = math.floor(n_f)
+    return supply, reassignment_demand(family, n_s - eps, n_f), n_f
 
 
 def solve_epsilon(
-    n_r: float, n_s: float, rates: ErrorRates, f: float, family: HashFamily
+    n_r: float, n_s: float, rates: ErrorRates, f: float, family: HashFamily,
+    penalty_bits: float | None = None,
 ) -> int:
-    """Smallest integer reassignment that funds the family's seed budget.
+    """Smallest integer reassignment whose :func:`seed_ledger` supply covers its demand.
 
-    The certified supply ``(n_r - n_s + eps)(1 - H2(e_p_tilde))`` grows with
-    ``eps`` while every family's demand shrinks, so the feasibility predicate
-    is monotone and bisection is exact.  ``eps = n_s`` always satisfies the
-    budget (the key is then empty), so a solution exists whenever the inputs
-    are well-formed.
+    The supply grows with ``eps`` while every family's demand shrinks, so the
+    feasibility predicate is monotone and bisection is exact.  ``eps = n_s``
+    always satisfies the budget (the key is then empty and demands nothing),
+    so a solution exists whenever the inputs are well-formed.
     """
     if n_s < 0 or n_s > n_r:
         raise ParameterError("need 0 <= n_s <= n_r")
-    if f < 1.0:
+    if not f >= 1.0:
         raise ParameterError("f must be at least 1")
+
+    def feasible(eps: int) -> bool:
+        supply, demand, _ = seed_ledger(eps, n_r, n_s, rates, f, family, penalty_bits)
+        return supply >= demand
+
     lo, hi = 0, int(math.floor(n_s))
-    if _epsilon_sufficient(lo, n_r, n_s, rates, f, family):
+    if feasible(lo):
         return lo
     while lo < hi:
         mid = (lo + hi) // 2
-        if _epsilon_sufficient(mid, n_r, n_s, rates, f, family):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid + 1
@@ -197,11 +208,7 @@ def passive_final_key_length(
     """Final passive key (real-valued bits) after reassigning ``epsilon`` bits."""
     if not 0 <= epsilon <= n_s:
         raise ParameterError("epsilon must lie in [0, n_s]")
-    return max(
-        0.0,
-        (n_s - epsilon)
-        * (1.0 - binary_entropy(rates.e_p_tilde) - f * binary_entropy(rates.e_b_tilde)),
-    )
+    return min_entropy_error_corrected(n_s - epsilon, rates.e_p_tilde, rates.e_b_tilde, f)
 
 
 def rate_point(params: ProtocolParams) -> RateBreakdown:
@@ -230,16 +237,12 @@ def rate_point(params: ProtocolParams) -> RateBreakdown:
     rates = make_error_rates(e_b, e_b, e_px_up, e_pz_up)
 
     epsilon = solve_epsilon(n_r, n_s, rates, f, params.hash_family)
-    n_f_passive_real = passive_final_key_length(n_s, epsilon, rates, f)
-    n_f_bbm92_real = key_length_total(
-        key_length_basis(n_s_x, rates.e_px_up, rates.e_bx, f),
-        key_length_basis(n_s_z, rates.e_pz_up, rates.e_bz, f),
-    )
+    supply, demand, n_f_passive_real = seed_ledger(epsilon, n_r, n_s, rates, f, params.hash_family)
     n_f_passive = math.floor(n_f_passive_real)
-    n_f_bbm92 = math.floor(n_f_bbm92_real)
-
-    supply = (n_r - n_s + epsilon) * (1.0 - binary_entropy(rates.e_p_tilde))
-    demand = reassignment_demand(params.hash_family, n_s - epsilon, n_f_passive_real)
+    n_f_bbm92 = math.floor(
+        key_length_basis(n_s_x, rates.e_px_up, rates.e_bx, f)
+        + key_length_basis(n_s_z, rates.e_pz_up, rates.e_bz, f)
+    )
 
     def per_pulse(n_f: int) -> float:
         return (n_f / n_s) * q * gq.gain if n_s > 0 else 0.0

@@ -23,9 +23,9 @@ import numpy as np
 from .channel import derive_channel, sample_window_batch
 from .rates import (
     binary_entropy,
-    passive_final_key_length,
+    min_entropy_mismatched_aggregate,
     phase_error_upper_bound,
-    reassignment_demand,
+    seed_ledger,
     solve_epsilon,
 )
 from .toeplitz import extract_local_randomness, modified_toeplitz_hash
@@ -109,6 +109,11 @@ class SessionResult:
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,
+            # only the Toeplitz key is privacy-amplified; the other families'
+            # keys are truncations that stand in for their budgeted hashes
+            "pa": "toeplitz"
+            if self.params.hash_family is HashFamily.TOEPLITZ
+            else "accounting-only",
             "params": self.params.to_json_dict(),
             "n_pulses": self.n_pulses,
             "rng_seed": self.rng_seed,
@@ -155,11 +160,10 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     budget, i.e. the certificate is checked against the extractor output
     length (which pays the leftover-hash penalty), not just the raw
     min-entropy.  Privacy amplification is bit-exact for the Toeplitz
-    family and a length-accounting truncation for the other families.
+    family and a length-accounting truncation for the other families (the
+    report's ``"pa"`` field says which).
 
-    Session statuses: "ok"; "no-key" when the certified key length is zero;
-    "insufficient-randomness" when even reassigning the whole sifted key
-    cannot fund the seed budget.
+    Session statuses: "ok"; "no-key" when the certified key length is zero.
     """
     if n_pulses < 1:
         raise ParameterError("n_pulses must be at least 1")
@@ -216,44 +220,18 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     k_sift_a = BitString.from_bits(sift_a)
     k_sift_b = BitString.from_bits(sift_b)
     w_pool = BitString.from_bits(pool_bits)
-    m_total = m_x + m_z
     f = params.ec_efficiency
     family = params.hash_family
     penalty = 2.0 * math.log2(1.0 / params.extractor_failure_prob)
-    one_minus_h2p = 1.0 - binary_entropy(rates.e_p_tilde)
-
-    def extractable(eps: int) -> int:
-        # supply is a bit count: a negative leftover-hash margin means no
-        # seed bits, not a debt
-        return max(0, math.floor((m_total + eps) * one_minus_h2p - penalty))
-
-    def n_f_at(eps: int) -> int:
-        return math.floor(passive_final_key_length(n_s, eps, rates, f))
-
-    def budget_ok(eps: int) -> bool:
-        return extractable(eps) >= reassignment_demand(family, n_s - eps, n_f_at(eps))
-
     epsilon_nominal = solve_epsilon(tally.n_r, n_s, rates, f, family)
-    if budget_ok(n_s):
-        lo, hi = 0, n_s
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if budget_ok(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        epsilon = lo
-        status = "ok"
-    else:
-        epsilon = n_s
-        status = "insufficient-randomness"
+    epsilon = solve_epsilon(tally.n_r, n_s, rates, f, family, penalty)
+    n_out, _, n_f = seed_ledger(epsilon, tally.n_r, n_s, rates, f, family, penalty)
 
     kec = k_sift_a  # error correction modeled: Bob's corrected key equals Alice's
     kec_short = kec[: n_s - epsilon]
     w_enlarged = w_pool + kec[n_s - epsilon :]
-    h_min_w = (m_total + epsilon) * one_minus_h2p
-    n_out = extractable(epsilon)
-    if status == "ok" and n_out >= 1:
+    h_min_w = min_entropy_mismatched_aggregate(tally.n_r, n_s - epsilon, rates.e_p_tilde)
+    if n_out >= 1:
         private_rng = np.random.default_rng([rng_seed, _PRIVATE_STREAM])
         private_seed = BitString.random(len(w_enlarged) + n_out - 1, private_rng)
         w_star = extract_local_randomness(
@@ -262,11 +240,9 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     else:
         w_star = BitString.zeros(0)
 
-    n_f = n_f_at(epsilon) if status == "ok" else 0
+    status = "ok" if n_f > 0 else "no-key"
     if n_f == 0:
         k_final = BitString.zeros(0)
-        if status == "ok":
-            status = "no-key"
     elif family is HashFamily.TOEPLITZ:
         k_final = modified_toeplitz_hash(kec_short, n_f, w_star[: len(kec_short) - 1])
     else:

@@ -81,6 +81,15 @@ class HashFamily(enum.Enum):
         raise ParameterError(f"unknown hash family: {token!r}")
 
 
+def _json_fields(obj) -> dict:
+    """A dataclass's fields by name, with each hash family as its value string."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        out[f.name] = v.value if isinstance(v, HashFamily) else v
+    return out
+
+
 class BitString:
     """Immutable bit sequence packed 8 bits per byte, LSB first.
 
@@ -211,6 +220,9 @@ class ProtocolParams:
     channel_loss_db: float = 0.0
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         _check_unit("dark_count_prob", self.dark_count_prob)
         _check_unit("detector_efficiency", self.detector_efficiency)
         _check_unit("misalignment_error", self.misalignment_error)
@@ -223,8 +235,8 @@ class ProtocolParams:
             raise ParameterError("phase_est_failure_prob must lie in (0, 1)")
         if not 0.0 < self.extractor_failure_prob < 1.0:
             raise ParameterError("extractor_failure_prob must lie in (0, 1)")
-        if int(self.block_size) < 1:
-            raise ParameterError("block_size must be at least 1")
+        if not isinstance(self.block_size, int) or self.block_size < 1:
+            raise ParameterError(f"block_size must be an integer >= 1, got {self.block_size!r}")
         if self.channel_loss_db < 0.0:
             raise ParameterError("channel_loss_db must be non-negative")
         if not isinstance(self.hash_family, HashFamily):
@@ -236,11 +248,7 @@ class ProtocolParams:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.value if isinstance(v, HashFamily) else v
-        return out
+        return _json_fields(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProtocolParams":
@@ -276,19 +284,7 @@ class ProtocolParams:
         return cls.from_config_text(text)
 
 
-_FIELD_TYPES = {
-    "dark_count_prob": float,
-    "detector_efficiency": float,
-    "misalignment_error": float,
-    "ec_efficiency": float,
-    "mean_pair_number": float,
-    "basis_reconciliation_factor": float,
-    "phase_est_failure_prob": float,
-    "block_size": int,
-    "hash_family": HashFamily,
-    "extractor_failure_prob": float,
-    "channel_loss_db": float,
-}
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ProtocolParams)}
 
 
 def _coerce_fields(data: dict) -> dict:
@@ -300,7 +296,10 @@ def _coerce_fields(data: dict) -> dict:
         if kind is HashFamily:
             out[name] = value if isinstance(value, HashFamily) else HashFamily.parse(str(value))
         elif kind is int:
-            out[name] = int(float(value))
+            number = float(value)
+            if not number.is_integer():
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            out[name] = int(number)
         else:
             out[name] = float(value)
     return out
@@ -371,7 +370,7 @@ class SessionTally:
             raise ParameterError("n_r must equal n_s + m_x + m_z")
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return _json_fields(self)
 
 
 #: Column order of the sweep CSV emitted by the CLI.
@@ -446,11 +445,7 @@ class RateBreakdown:
             raise ParameterError("positive key requires seed_supply >= seed_demand")
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.value if isinstance(v, HashFamily) else v
-        return out
+        return _json_fields(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RateBreakdown":

@@ -68,7 +68,9 @@ def test_rate_json_roundtrip():
     assert back.rate_per_pulse_passive == rows[1]["rate_per_pulse_passive"]
 
 
-@pytest.mark.parametrize("bad", ["0:0:1", "10:5:1", "0:10:0", "0:10", "a:b:c", "-5:10:5"])
+@pytest.mark.parametrize(
+    "bad", ["0:0:1", "10:5:1", "0:10:0", "0:10", "a:b:c", "-5:10:5", "nan:40:2", "0:inf:1"]
+)
 def test_rate_bad_loss_range(bad):
     out = _run("rate", "--loss", bad)
     assert out.returncode == 2

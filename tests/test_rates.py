@@ -11,7 +11,6 @@ from passiveqkd import (
     ProtocolParams,
     binary_entropy,
     key_length_basis,
-    key_length_total,
     make_error_rates,
     min_entropy_error_corrected,
     min_entropy_mismatched_aggregate,
@@ -63,7 +62,6 @@ def test_phase_bound_validation():
 def test_key_length_basis_limits():
     assert key_length_basis(1000.0, 0.0, 0.0, 1.15) == 1000.0
     assert key_length_basis(1000.0, 0.5, 0.0, 1.15) == 0.0
-    assert key_length_total(3.0, 4.0) == 7.0
 
 
 def test_mismatched_pool_entropy_examples():
@@ -164,12 +162,20 @@ def test_solve_epsilon_f3r_never_needs_reassignment_at_even_split():
         assert solve_epsilon(2 * n_s, n_s, r, 1.15, HashFamily.F3R_F4R) == 0
 
 
-def _scan_epsilon(n_r, n_s, rates, f, family):
-    """Independent linear scan over every integer reassignment."""
+def _scan_epsilon(n_r, n_s, rates, f, family, penalty_bits=None):
+    """Independent linear scan over every integer reassignment.
+
+    With ``penalty_bits`` it applies a session's whole-bit rule: the supply
+    is the extractor output ``max(0, floor(supply - penalty_bits))`` and the
+    key length is floored before the demand is charged.
+    """
     eps = np.arange(math.floor(n_s) + 1, dtype=np.float64)
     c_p = binary_entropy(rates.e_p_tilde)
     supply = (n_r - n_s + eps) * (1.0 - c_p)
     n_f = np.maximum(0.0, (n_s - eps) * (1.0 - c_p - f * binary_entropy(rates.e_b_tilde)))
+    if penalty_bits is not None:
+        supply = np.maximum(0.0, np.floor(supply - penalty_bits))
+        n_f = np.floor(n_f)
     rem = n_s - eps
     if family is HashFamily.TOEPLITZ:
         demand = rem
@@ -190,18 +196,31 @@ def _scan_epsilon(n_r, n_s, rates, f, family):
 
 
 def test_solve_epsilon_matches_linear_scan():
-    """Bisection against brute force; the 1000-instance battery is in acceptance."""
-    rng = np.random.default_rng(4)
-    families = list(HashFamily)
-    for i in range(120):
-        n_s = int(rng.integers(0, 20_000))
-        n_r = n_s + int(rng.integers(0, 20_000))
-        e_b = float(rng.uniform(0.0, 0.2))
-        e_p = float(rng.uniform(0.0, 0.2))
-        f = float(rng.uniform(1.0, 1.3))
-        r = make_error_rates(e_b, e_b, e_p, e_p)
-        fam = families[i % len(families)]
-        assert solve_epsilon(n_r, n_s, r, f, fam) == _scan_epsilon(n_r, n_s, r, f, fam)
+    """Bisection against brute force; the 1000-instance battery is in acceptance.
+
+    Runs the analytic solve and a session's penalized one, at the penalty
+    ``2 log2(1/eps_ext)`` of the default extractor failure probability 2^-64.
+    """
+    for penalty in (None, 128.0):
+        rng = np.random.default_rng(4)
+        families = list(HashFamily)
+        for i in range(120):
+            n_s = int(rng.integers(0, 20_000))
+            n_r = n_s + int(rng.integers(0, 20_000))
+            e_b = float(rng.uniform(0.0, 0.2))
+            e_p = float(rng.uniform(0.0, 0.2))
+            f = float(rng.uniform(1.0, 1.3))
+            r = make_error_rates(e_b, e_b, e_p, e_p)
+            fam = families[i % len(families)]
+            got = solve_epsilon(n_r, n_s, r, f, fam, penalty)
+            assert got == _scan_epsilon(n_r, n_s, r, f, fam, penalty), (penalty, i)
+
+
+def test_solve_epsilon_rejects_bad_efficiency():
+    r = make_error_rates(0.01, 0.01, 0.05, 0.05)
+    for f in (0.99, math.nan):
+        with pytest.raises(ParameterError):
+            solve_epsilon(2000, 1000, r, f, HashFamily.TOEPLITZ)
 
 
 def test_passive_final_key_length_edges():

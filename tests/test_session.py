@@ -169,3 +169,11 @@ def test_session_without_toeplitz_budget():
     assert r.status == "ok"
     assert r.epsilon == 0  # half the pool seeds this family for free
     assert len(r.k_final) == r.n_f > 0
+
+
+@pytest.mark.parametrize(
+    "family,pa", [(HashFamily.TOEPLITZ, "toeplitz"), (HashFamily.TSSR, "accounting-only")]
+)
+def test_report_marks_accounting_only_keys(family, pa):
+    r = run_session(BENCH.replace(hash_family=family), 20_000, 2)
+    assert r.to_json_dict()["pa"] == pa

@@ -1,6 +1,7 @@
 """Core type behavior: bit strings, parameters, tallies, breakdowns."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ def test_params_defaults_are_reference_operating_point():
         ("block_size", 0),
         ("extractor_failure_prob", 0.0),
         ("channel_loss_db", -2.0),
+        ("ec_efficiency", math.nan),
+        ("mean_pair_number", math.nan),
+        ("mean_pair_number", math.inf),
+        ("channel_loss_db", math.nan),
+        ("channel_loss_db", math.inf),
+        ("block_size", 1.5),
     ],
 )
 def test_params_validation(field, value):
@@ -132,6 +139,12 @@ def test_params_config_text_comments_and_json_sniffing(tmp_path):
 def test_params_unknown_key_rejected():
     with pytest.raises(ParameterError):
         ProtocolParams.from_config_text("mean_photons = 0.1\n")
+
+
+def test_params_config_text_block_size_must_be_integral():
+    assert ProtocolParams.from_config_text("block_size = 1e6\n").block_size == 10**6
+    with pytest.raises(ParameterError):
+        ProtocolParams.from_config_text("block_size = 1.5\n")
 
 
 def test_error_rates_tilde_maxima():
