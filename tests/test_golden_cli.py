@@ -1,15 +1,18 @@
-"""Golden CLI outputs: ``rate`` CSV/JSON and ``epsilon`` tables, byte for byte.
+"""Golden CLI outputs: ``rate`` CSV/JSON, ``epsilon`` tables and ``simulate`` sessions.
 
 Each case runs ``cli.main`` in-process and compares stdout with a file
-captured from a known-good build.  The ``rate`` CSV goldens are the
-benchmark's own (``perfbench/golden``, read only); the JSON sweeps and the
-``epsilon`` tables live in ``tests/golden``.  A refactor of the rate engine
-or the reassignment solve has to leave every one of these unchanged.
+captured from a known-good build; a session case also compares its exit
+code, report JSON and transcript log.  The ``rate`` CSV goldens are the
+benchmark's own (``perfbench/golden``, read only); everything else lives in
+``tests/golden``.  A refactor of the rate engine, the reassignment solve or
+the session pipeline has to leave every one of these unchanged.
 
 To re-capture after a deliberate change of output:
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -36,6 +39,24 @@ EPSILON_CASES = {
     "one-bit-pool": ["--n-r", "300", "--n-s", "299", "--e-p-tilde", "0.3", "--e-b-tilde", "0.01"],
 }
 
+# name -> (extra argv after "simulate", exit code).  Small sessions: a
+# lossless Toeplitz key, the same block under an accounting-only family, and
+# a noisy block with double clicks whose penalized solve leaves no key.
+_LOSSLESS = [
+    "--pulses", "60000", "--seed", "1", "--dark-count-prob", "0", "--detector-efficiency", "1",
+    "--misalignment-error", "0.01", "--mean-pair-number", "0.05",
+]
+SESSION_CASES = {
+    "toeplitz-ok": ([*_LOSSLESS, "--family", "toeplitz"], 0),
+    "f1r-f2r-ok": ([*_LOSSLESS, "--family", "f1r-f2r"], 0),
+    "toeplitz-no-key": ([
+        "--pulses", "80000", "--seed", "1", "--family", "toeplitz", "--dark-count-prob", "1e-3",
+        "--detector-efficiency", "0.9", "--misalignment-error", "0.015",
+        "--mean-pair-number", "0.12",
+    ], 3),
+}
+SESSION_SUFFIXES = (".stdout", ".report.json", ".transcript.log")
+
 
 def _cases():
     """(argv, golden path) for every golden output."""
@@ -60,9 +81,29 @@ def test_cli_output_matches_golden(argv, path, capsys):
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
+def _simulate(name: str, out_dir: Path) -> tuple[int, dict[str, str]]:
+    """Run one session case; its exit code and output text by suffix."""
+    extra, _ = SESSION_CASES[name]
+    prefix = out_dir / name
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["simulate", *extra, "--out", str(prefix)])
+    outputs = {".stdout": buf.getvalue()}
+    for suffix in SESSION_SUFFIXES[1:]:
+        outputs[suffix] = Path(f"{prefix}{suffix}").read_text(encoding="utf-8")
+    return code, outputs
+
+
+@pytest.mark.parametrize("name", list(SESSION_CASES))
+def test_simulate_matches_golden(name, tmp_path):
+    code, outputs = _simulate(name, tmp_path)
+    assert code == SESSION_CASES[name][1]
+    for suffix, text in outputs.items():
+        assert text == (GOLDEN / f"session_{name}{suffix}").read_text(encoding="utf-8"), suffix
+
+
 if __name__ == "__main__":
-    import contextlib
-    import io
+    import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     for argv, path in _cases():
@@ -75,3 +116,12 @@ if __name__ == "__main__":
             sys.exit(f"{' '.join(argv)} exited {code}")
         path.write_text(buf.getvalue(), encoding="utf-8")
         print(path.relative_to(ROOT))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (_, expected_code) in SESSION_CASES.items():
+            code, outputs = _simulate(name, Path(tmp))
+            if code != expected_code:
+                sys.exit(f"session {name} exited {code}, expected {expected_code}")
+            for suffix, text in outputs.items():
+                path = GOLDEN / f"session_{name}{suffix}"
+                path.write_text(text, encoding="utf-8")
+                print(path.relative_to(ROOT))
