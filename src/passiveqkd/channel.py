@@ -10,18 +10,15 @@ views of the same process, and the test suite holds them to each other.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .types import Basis, ParameterError, ProtocolParams
+from .types import ParameterError, ProtocolParams
 
 __all__ = [
     "ChannelDerived",
     "GainQber",
-    "ClickStatus",
-    "WindowOutcome",
     "WindowBatch",
     "derive_channel",
     "pair_number_pmf",
@@ -29,7 +26,6 @@ __all__ = [
     "truncation_order",
     "coincidence_gain_qber",
     "coincidence_gain_qber_closed",
-    "sample_window",
     "sample_window_batch",
 ]
 
@@ -176,24 +172,6 @@ def coincidence_gain_qber_closed(ch: ChannelDerived, misalignment: float) -> Gai
     return GainQber(gain=gain, qber=min(max(err_gain / gain, 0.0), RANDOM_ERROR))
 
 
-class ClickStatus(enum.Enum):
-    NONE = "none"
-    SINGLE = "single"
-    DOUBLE = "double"
-
-
-@dataclass(frozen=True, slots=True)
-class WindowOutcome:
-    """One sampled detection window, as seen by the two receivers."""
-
-    alice_basis: Basis
-    bob_basis: Basis
-    alice_click: ClickStatus
-    bob_click: ClickStatus
-    alice_bit: int | None
-    bob_bit: int | None
-
-
 @dataclass(slots=True)
 class WindowBatch:
     """Column-oriented batch of sampled windows (uint8/bool arrays).
@@ -257,19 +235,3 @@ def sample_window_batch(
     b_click += (b_ph & b_bg & (b_bg_det != b_out)).astype(np.uint8)
     return WindowBatch(a_basis, b_basis, a_click, b_click, a_bit, b_bit)
 
-
-def sample_window(
-    ch: ChannelDerived, misalignment: float, rng: np.random.Generator
-) -> WindowOutcome:
-    """Draw a single window; see :func:`sample_window_batch` for the model."""
-    batch = sample_window_batch(ch, misalignment, rng, 1)
-    a_click = ClickStatus(("none", "single", "double")[batch.alice_click[0]])
-    b_click = ClickStatus(("none", "single", "double")[batch.bob_click[0]])
-    return WindowOutcome(
-        alice_basis=Basis.X if batch.alice_basis[0] == 0 else Basis.Z,
-        bob_basis=Basis.X if batch.bob_basis[0] == 0 else Basis.Z,
-        alice_click=a_click,
-        bob_click=b_click,
-        alice_bit=int(batch.alice_bit[0]) if a_click is not ClickStatus.NONE else None,
-        bob_bit=int(batch.bob_bit[0]) if b_click is not ClickStatus.NONE else None,
-    )

@@ -23,6 +23,7 @@ from .types import ErrorRates, HashFamily, ParameterError, ProtocolParams, RateB
 __all__ = [
     "binary_entropy",
     "phase_error_upper_bound",
+    "certified_rates",
     "key_length_basis",
     "min_entropy_mismatched_per_basis",
     "min_entropy_mismatched_aggregate",
@@ -72,6 +73,25 @@ def phase_error_upper_bound(
         (n_obs + n_target) * math.log(1.0 / eps_ph) / (2.0 * n_obs * n_target)
     )
     return min(0.5, e_obs + theta)
+
+
+def certified_rates(
+    e_bx: float, e_bz: float, n_s_x: float, n_s_z: float, eps_ph: float
+) -> ErrorRates:
+    """Finite-size error certificate of a sifted key measured per basis.
+
+    Bit errors are clamped to one half; each basis's phase error is bounded
+    from the other basis's bit errors by :func:`phase_error_upper_bound`.
+    With fewer than one sifted bit in either basis nothing is certified and
+    both phase bounds are one half.
+    """
+    e_bx, e_bz = min(e_bx, 0.5), min(e_bz, 0.5)
+    if n_s_x >= 1 and n_s_z >= 1:
+        e_px_up = phase_error_upper_bound(e_bz, n_s_z, n_s_x, eps_ph)
+        e_pz_up = phase_error_upper_bound(e_bx, n_s_x, n_s_z, eps_ph)
+    else:
+        e_px_up = e_pz_up = 0.5
+    return make_error_rates(e_bx, e_bz, e_px_up, e_pz_up)
 
 
 def key_length_basis(n_s_basis: float, e_p_up: float, e_b: float, f: float) -> float:
@@ -227,14 +247,7 @@ def rate_point(params: ProtocolParams) -> RateBreakdown:
     n_r = float(params.block_size)
     n_s = q * n_r
     n_s_x = n_s_z = n_s / 2.0
-    e_b = gq.qber
-
-    if n_s_x >= 1.0 and n_s_z >= 1.0:
-        e_px_up = phase_error_upper_bound(e_b, n_s_z, n_s_x, params.phase_est_failure_prob)
-        e_pz_up = phase_error_upper_bound(e_b, n_s_x, n_s_z, params.phase_est_failure_prob)
-    else:
-        e_px_up = e_pz_up = 0.5
-    rates = make_error_rates(e_b, e_b, e_px_up, e_pz_up)
+    rates = certified_rates(gq.qber, gq.qber, n_s_x, n_s_z, params.phase_est_failure_prob)
 
     epsilon = solve_epsilon(n_r, n_s, rates, f, params.hash_family)
     supply, demand, n_f_passive_real = seed_ledger(epsilon, n_r, n_s, rates, f, params.hash_family)

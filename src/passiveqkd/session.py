@@ -23,8 +23,8 @@ import numpy as np
 from .channel import derive_channel, sample_window_batch
 from .rates import (
     binary_entropy,
+    certified_rates,
     min_entropy_mismatched_aggregate,
-    phase_error_upper_bound,
     seed_ledger,
     solve_epsilon,
 )
@@ -36,7 +36,6 @@ from .types import (
     ParameterError,
     ProtocolParams,
     SessionTally,
-    make_error_rates,
 )
 
 __all__ = ["ClassicalMessage", "SessionResult", "run_session"]
@@ -134,24 +133,6 @@ class SessionResult:
         return "".join(m.to_line() + "\n" for m in self.transcript)
 
 
-def _empirical_rates(
-    sift_a: np.ndarray, sift_b: np.ndarray, sift_basis: np.ndarray, eps_ph: float
-) -> tuple[ErrorRates, int, int]:
-    """Measured error rates plus per-basis sifted counts."""
-    in_x = sift_basis == 0
-    n_s_x = int(in_x.sum())
-    n_s_z = int(sift_basis.size - n_s_x)
-    errs = sift_a != sift_b
-    e_bx = float(errs[in_x].sum() / n_s_x) if n_s_x else 0.0
-    e_bz = float(errs[~in_x].sum() / n_s_z) if n_s_z else 0.0
-    if n_s_x >= 1 and n_s_z >= 1:
-        e_px_up = phase_error_upper_bound(min(e_bz, 0.5), n_s_z, n_s_x, eps_ph)
-        e_pz_up = phase_error_upper_bound(min(e_bx, 0.5), n_s_x, n_s_z, eps_ph)
-    else:
-        e_px_up = e_pz_up = 0.5
-    return make_error_rates(e_bx, e_bz, e_px_up, e_pz_up), n_s_x, n_s_z
-
-
 def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> SessionResult:
     """Simulate one complete session of ``n_pulses`` pump windows.
 
@@ -172,40 +153,35 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     ch = derive_channel(params)
     rng = np.random.default_rng(rng_seed)
 
-    sift_a_parts, sift_b_parts, sift_basis_parts = [], [], []
-    pool_parts, pool_basis_parts = [], []
-    alice_basis_parts, bob_basis_parts = [], []
+    # Only usable windows (exactly one click per side) are kept, as the
+    # columns alice basis, bob basis, alice bit, bob bit.
+    usable_cols = []
     n_double = 0
     remaining = n_pulses
     while remaining > 0:
-        batch = sample_window_batch(ch, params.misalignment_error, rng, min(_CHUNK, remaining))
-        remaining -= min(_CHUNK, remaining)
+        size = min(_CHUNK, remaining)
+        batch = sample_window_batch(ch, params.misalignment_error, rng, size)
+        remaining -= size
         coincident = (batch.alice_click > 0) & (batch.bob_click > 0)
         usable = (batch.alice_click == 1) & (batch.bob_click == 1)
-        n_double += int((coincident & ~usable).sum())
-        a_basis, b_basis = batch.alice_basis[usable], batch.bob_basis[usable]
-        a_bit, b_bit = batch.alice_bit[usable], batch.bob_bit[usable]
-        matched = a_basis == b_basis
-        alice_basis_parts.append(a_basis)
-        bob_basis_parts.append(b_basis)
-        sift_a_parts.append(a_bit[matched])
-        sift_b_parts.append(b_bit[matched])
-        sift_basis_parts.append(a_basis[matched])
-        pool_parts.append(a_bit[~matched])
-        pool_basis_parts.append(a_basis[~matched])
+        n_double += int(coincident.sum() - usable.sum())
+        cols = (batch.alice_basis, batch.bob_basis, batch.alice_bit, batch.bob_bit)
+        usable_cols.append([col[usable] for col in cols])
+    a_basis, b_basis, a_bit, b_bit = (np.concatenate(col) for col in zip(*usable_cols))
 
-    sift_a = np.concatenate(sift_a_parts) if sift_a_parts else np.zeros(0, np.uint8)
-    sift_b = np.concatenate(sift_b_parts) if sift_b_parts else np.zeros(0, np.uint8)
-    sift_basis = np.concatenate(sift_basis_parts) if sift_basis_parts else np.zeros(0, np.uint8)
-    pool_bits = np.concatenate(pool_parts) if pool_parts else np.zeros(0, np.uint8)
-    pool_basis = np.concatenate(pool_basis_parts) if pool_basis_parts else np.zeros(0, np.uint8)
-
+    matched = a_basis == b_basis
+    sift_a, sift_b, sift_basis = a_bit[matched], b_bit[matched], a_basis[matched]
+    pool_bits = a_bit[~matched]
     n_s = int(sift_a.size)
-    m_x = int((pool_basis == 0).sum())
+    m_x = int((a_basis[~matched] == 0).sum())
     m_z = int(pool_bits.size - m_x)
-    rates, n_s_x, n_s_z = _empirical_rates(
-        sift_a, sift_b, sift_basis, params.phase_est_failure_prob
-    )
+    in_x = sift_basis == 0
+    n_s_x = int(in_x.sum())
+    n_s_z = n_s - n_s_x
+    errs = sift_a != sift_b
+    e_bx = float(errs[in_x].sum() / n_s_x) if n_s_x else 0.0
+    e_bz = float(errs[~in_x].sum() / n_s_z) if n_s_z else 0.0
+    rates = certified_rates(e_bx, e_bz, n_s_x, n_s_z, params.phase_est_failure_prob)
     tally = SessionTally(
         n_r=n_s + m_x + m_z,
         n_s=n_s,
@@ -222,6 +198,9 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     w_pool = BitString.from_bits(pool_bits)
     f = params.ec_efficiency
     family = params.hash_family
+    ec_leak = f * binary_entropy(rates.e_b_tilde) * n_s
+    if not math.isfinite(ec_leak):
+        raise ParameterError(f"error-correction leak is not finite (ec_efficiency {f!r})")
     penalty = 2.0 * math.log2(1.0 / params.extractor_failure_prob)
     epsilon_nominal = solve_epsilon(tally.n_r, n_s, rates, f, family)
     epsilon = solve_epsilon(tally.n_r, n_s, rates, f, family, penalty)
@@ -249,15 +228,10 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
         # Length-accounting stub: these families are budgeted, not constructed.
         k_final = kec_short[:n_f]
 
-    ec_leak_bits = math.ceil(f * binary_entropy(rates.e_b_tilde) * n_s)
     transcript = (
-        ClassicalMessage("A->B", "basis-announce", tally.n_r, BitString.from_bits(
-            np.concatenate(alice_basis_parts) if alice_basis_parts else np.zeros(0, np.uint8)
-        )),
-        ClassicalMessage("B->A", "basis-announce", tally.n_r, BitString.from_bits(
-            np.concatenate(bob_basis_parts) if bob_basis_parts else np.zeros(0, np.uint8)
-        )),
-        ClassicalMessage("A->B", "ec-syndrome", ec_leak_bits),
+        ClassicalMessage("A->B", "basis-announce", tally.n_r, BitString.from_bits(a_basis)),
+        ClassicalMessage("B->A", "basis-announce", tally.n_r, BitString.from_bits(b_basis)),
+        ClassicalMessage("A->B", "ec-syndrome", math.ceil(ec_leak)),
         ClassicalMessage("A->B", "seed-wstar", len(w_star), w_star),
     )
     return SessionResult(

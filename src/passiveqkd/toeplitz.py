@@ -26,6 +26,7 @@ __all__ = [
     "toeplitz_hash",
     "modified_toeplitz_hash",
     "extract_local_randomness",
+    "gf2_convolve",
 ]
 
 _SLOT_BYTES = 4  # one uint32 per bit keeps column sums below 2**32 for any practical length

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ParameterError",
-    "Basis",
     "HashFamily",
     "BitString",
     "ProtocolParams",
@@ -31,17 +30,6 @@ __all__ = [
 
 class ParameterError(ValueError):
     """Raised when a value violates a documented domain constraint."""
-
-
-class Basis(enum.Enum):
-    """Measurement basis of a polarization analyzer."""
-
-    X = "x"
-    Z = "z"
-
-    @property
-    def other(self) -> "Basis":
-        return Basis.Z if self is Basis.X else Basis.X
 
 
 class HashFamily(enum.Enum):
@@ -278,9 +266,12 @@ class ProtocolParams:
     def from_file(cls, path: str) -> "ProtocolParams":
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return cls.from_json_dict(json.loads(text))
+        if text.lstrip().startswith("{"):
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"malformed JSON in {path}: {exc}") from None
+            return cls.from_json_dict(data)
         return cls.from_config_text(text)
 
 
@@ -295,13 +286,14 @@ def _coerce_fields(data: dict) -> dict:
         kind = _FIELD_TYPES[name]
         if kind is HashFamily:
             out[name] = value if isinstance(value, HashFamily) else HashFamily.parse(str(value))
-        elif kind is int:
+            continue
+        try:
             number = float(value)
-            if not number.is_integer():
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            out[name] = int(number)
-        else:
-            out[name] = float(value)
+        except (TypeError, ValueError):
+            raise ParameterError(f"{name} must be a number, got {value!r}") from None
+        if kind is int and not number.is_integer():
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        out[name] = kind(number)
     return out
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from passiveqkd import (
-    ClickStatus,
     ParameterError,
     ProtocolParams,
     coincidence_gain_qber,
@@ -14,7 +13,6 @@ from passiveqkd import (
     derive_channel,
     pair_number_pmf,
     pair_number_tail,
-    sample_window,
     sample_window_batch,
     truncation_order,
 )
@@ -119,20 +117,6 @@ def test_sampler_marginals_track_analytics():
     errs = int((batch.alice_bit[matched] != batch.bob_bit[matched]).sum())
     se_e = math.sqrt(gq.qber * (1.0 - gq.qber) / n_s)
     assert abs(errs / n_s - gq.qber) < 6.0 * se_e
-
-
-def test_single_window_wrapper():
-    ch = derive_channel(REF.replace(detector_efficiency=1.0, dark_count_prob=0.0, mean_pair_number=1.0))
-    rng = np.random.default_rng(3)
-    saw_click = False
-    for _ in range(50):
-        w = sample_window(ch, 0.0, rng)
-        if w.alice_click is ClickStatus.SINGLE:
-            saw_click = True
-            assert w.alice_bit in (0, 1)
-        if w.alice_click is ClickStatus.NONE:
-            assert w.alice_bit is None
-    assert saw_click
 
 
 def test_truncation_order_validation():

@@ -205,6 +205,27 @@ def test_bad_param_file(tmp_path):
     assert "not_a_real_knob" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["mean_pair_number = abc\n", '{"mean_pair_number": null}\n', '{"mean_pair_number": 0.1,\n'],
+    ids=["non-numeric", "json-null", "malformed-json"],
+)
+def test_malformed_param_file_is_an_error_line(tmp_path, text):
+    cfg = tmp_path / "bad.params"
+    cfg.write_text(text)
+    out = _run("optimize-mu", "--params", str(cfg), cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+def test_simulate_unbounded_ec_leak_is_an_error(tmp_path):
+    out = _run("simulate", "--pulses", "1000", "--seed", "1", "--ec-efficiency", "1e308", cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_bad_family_value():
     out = _run("epsilon", "--n-r", "10", "--n-s", "5", "--e-p-tilde", "0",
                "--e-b-tilde", "0", "--family", "md5")

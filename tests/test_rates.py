@@ -10,6 +10,7 @@ from passiveqkd import (
     ParameterError,
     ProtocolParams,
     binary_entropy,
+    certified_rates,
     key_length_basis,
     make_error_rates,
     min_entropy_error_corrected,
@@ -57,6 +58,25 @@ def test_phase_bound_validation():
         phase_error_upper_bound(0.1, 0, 100, 1e-7)
     with pytest.raises(ParameterError):
         phase_error_upper_bound(0.1, 100, 100, 0.0)
+
+
+def test_certified_rates_crosses_bases_and_clamps():
+    r = certified_rates(0.02, 0.7, 400, 100, 1e-7)
+    assert (r.e_bx, r.e_bz) == (0.02, 0.5)
+    assert r.e_px_up == phase_error_upper_bound(0.5, 100, 400, 1e-7)
+    assert r.e_pz_up == phase_error_upper_bound(0.02, 400, 100, 1e-7)
+    # fewer than one sifted bit in a basis certifies nothing
+    for n_x, n_z in [(0, 100), (100, 0), (0.5, 0.5)]:
+        r = certified_rates(0.01, 0.01, n_x, n_z, 1e-7)
+        assert (r.e_px_up, r.e_pz_up) == (0.5, 0.5)
+
+
+def test_rate_point_uses_the_certificate():
+    p = ProtocolParams(channel_loss_db=10.0, block_size=20_000)
+    bd = rate_point(p)
+    n_s = p.basis_reconciliation_factor * p.block_size
+    r = certified_rates(bd.e_qber, bd.e_qber, n_s / 2, n_s / 2, p.phase_est_failure_prob)
+    assert (bd.e_b_tilde, bd.e_p_tilde) == (r.e_b_tilde, r.e_p_tilde)
 
 
 def test_key_length_basis_limits():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from passiveqkd import (
-    Basis,
     BitString,
     HashFamily,
     ParameterError,
@@ -16,11 +15,6 @@ from passiveqkd import (
     SessionTally,
     make_error_rates,
 )
-
-
-def test_basis_other():
-    assert Basis.X.other is Basis.Z
-    assert Basis.Z.other is Basis.X
 
 
 def test_hash_family_parse_aliases():
@@ -139,6 +133,22 @@ def test_params_config_text_comments_and_json_sniffing(tmp_path):
 def test_params_unknown_key_rejected():
     with pytest.raises(ParameterError):
         ProtocolParams.from_config_text("mean_photons = 0.1\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mean_pair_number = abc\n",
+        '{"mean_pair_number": null}\n',
+        '{"mean_pair_number": 0.1,\n',
+    ],
+    ids=["non-numeric", "json-null", "malformed-json"],
+)
+def test_params_file_malformed_is_parameter_error(tmp_path, text):
+    path = tmp_path / "bad.params"
+    path.write_text(text)
+    with pytest.raises(ParameterError):
+        ProtocolParams.from_file(str(path))
 
 
 def test_params_config_text_block_size_must_be_integral():
