@@ -234,4 +234,3 @@ def sample_window_batch(
     a_click += (a_ph & a_bg & (a_bg_det != a_out)).astype(np.uint8)
     b_click += (b_ph & b_bg & (b_bg_det != b_out)).astype(np.uint8)
     return WindowBatch(a_basis, b_basis, a_click, b_click, a_bit, b_bit)
-

@@ -166,9 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eps.add_argument("--n-s", type=int, required=True, dest="n_s")
     p_eps.add_argument("--e-b-tilde", type=float, required=True, dest="e_b_tilde")
     p_eps.add_argument("--e-p-tilde", type=float, required=True, dest="e_p_tilde")
-    p_eps.add_argument(
-        "--ec-efficiency", type=float, default=ProtocolParams().ec_efficiency, dest="ec_efficiency"
-    )
+    p_eps.add_argument("--ec-efficiency", type=float, default=ProtocolParams().ec_efficiency)
     p_eps.add_argument("--hash-family", "--family", dest="hash_family", metavar="NAME")
     p_eps.set_defaults(handler=_cmd_epsilon)
 

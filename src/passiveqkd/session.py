@@ -167,6 +167,8 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
         n_double += int(coincident.sum() - usable.sum())
         cols = (batch.alice_basis, batch.bob_basis, batch.alice_bit, batch.bob_bit)
         usable_cols.append([col[usable] for col in cols])
+        # free this chunk before the next is drawn, so at most one is held
+        del batch, cols, coincident, usable
     a_basis, b_basis, a_bit, b_bit = (np.concatenate(col) for col in zip(*usable_cols))
 
     matched = a_basis == b_basis
