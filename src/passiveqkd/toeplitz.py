@@ -1,10 +1,10 @@
 """Bit-exact Toeplitz hashing over GF(2).
 
-A Toeplitz matrix-vector product is a binary convolution, so the hash is
-computed exactly by multiplying two integers whose bits are spread into
-32-bit slots: column sums never carry across slots, and the parity of each
-slot is the output bit.  gmpy2 keeps the multiplication fast for
-megabit-scale inputs; plain Python integers are a correct fallback.
+A Toeplitz matrix-vector product is the valid part of a binary
+convolution: each output bit is the parity of an integer column count.
+The counts come from one real FFT at a power-of-two circular length, are
+rounded to integers, and the rounding margin is checked before any parity
+is read, so a float64 error can only raise, never flip a bit.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ import numpy as np
 
 from .types import BitString, ParameterError
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
-
 __all__ = [
     "ToeplitzSpec",
     "toeplitz_hash",
@@ -29,21 +24,30 @@ __all__ = [
     "gf2_convolve",
 ]
 
-_SLOT_BYTES = 4  # one uint32 per bit keeps column sums below 2**32 for any practical length
-
-
-def _spread(bits: np.ndarray):
-    return _mpz(int.from_bytes(bits.astype("<u4").tobytes(), "little"))
-
 
 def gf2_convolve(a: BitString, b: BitString) -> np.ndarray:
-    """Parity bits of the full linear convolution of two bit sequences."""
+    """Parity bits of ``np.convolve(a, b, "valid")``, the Toeplitz product.
+
+    The longer sequence holds the matrix diagonals; output ``k`` is the
+    parity of ``sum_j long[k + len(short) - 1 - j] & short[j]``.  Any
+    circular length of at least ``len(long)`` leaves these outputs
+    unaliased; a power of two keeps the FFT off its slow prime-length path.
+
+    :raises ArithmeticError: if a count is not within 0.25 of an integer.
+    """
+    if len(a) < len(b):
+        a, b = b, a
     la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
+    if lb == 0:
         return np.zeros(0, dtype=np.uint8)
-    prod = int(_spread(a.to_numpy()) * _spread(b.to_numpy()))
-    buf = prod.to_bytes(_SLOT_BYTES * (la + lb - 1), "little")
-    return (np.frombuffer(buf, dtype="<u4") & 1).astype(np.uint8)
+    n = 1 << (la - 1).bit_length()
+    spectrum = np.fft.rfft(a.to_numpy(), n) * np.fft.rfft(b.to_numpy(), n)
+    x = np.fft.irfft(spectrum, n)[lb - 1 : la]
+    counts = np.rint(x)
+    margin = float(np.max(np.abs(x - counts)))
+    if margin >= 0.25:
+        raise ArithmeticError(f"FFT rounding error {margin:.3g} leaves no margin for exact parities")
+    return (counts % 2).astype(np.uint8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,15 +78,13 @@ def toeplitz_hash(spec: ToeplitzSpec, data: BitString) -> BitString:
     """Apply the Toeplitz matrix of ``spec`` to ``data`` over GF(2).
 
     Output bit ``i`` is the parity of ``seed[i - j + n_in - 1] & data[j]``
-    over all columns ``j``, i.e. the slice ``[n_in - 1, n_in - 1 + n_out)``
-    of the seed/data convolution.
+    over all columns ``j``: the valid-mode seed/data convolution.
     """
     if len(data) != spec.n_in:
         raise ParameterError(f"input must hold n_in = {spec.n_in} bits, got {len(data)}")
     if spec.n_out == 0:
         return BitString.zeros(0)
-    conv = gf2_convolve(spec.seed, data)
-    return BitString.from_bits(conv[spec.n_in - 1 : spec.n_in - 1 + spec.n_out])
+    return BitString.from_bits(gf2_convolve(spec.seed, data))
 
 
 def modified_toeplitz_hash(data: BitString, n_out: int, seed: BitString) -> BitString:
@@ -104,9 +106,7 @@ def modified_toeplitz_hash(data: BitString, n_out: int, seed: BitString) -> BitS
     head = data[:n_out]
     if n_out == n:
         return head
-    tail = data[n_out:]
-    conv = gf2_convolve(seed[: len(tail) + n_out - 1], tail)
-    return head ^ BitString.from_bits(conv[len(tail) - 1 : len(tail) - 1 + n_out])
+    return head ^ BitString.from_bits(gf2_convolve(seed, data[n_out:]))
 
 
 def extract_local_randomness(

@@ -264,15 +264,13 @@ class ProtocolParams:
 
     @classmethod
     def from_file(cls, path: str) -> "ProtocolParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"malformed JSON in {path}: {exc}") from None
-            return cls.from_json_dict(data)
-        return cls.from_config_text(text)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            data = json.loads(text) if text.lstrip().startswith("{") else None
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParameterError(f"cannot read parameter file {path}: {exc}") from None
+        return cls.from_config_text(text) if data is None else cls.from_json_dict(data)
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ProtocolParams)}

@@ -1,6 +1,7 @@
 """Command-line interface, exercised through real subprocesses."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -158,9 +159,6 @@ def test_param_file_and_flag_precedence(tmp_path, monkeypatch):
     cfg.write_text("misalignment_error = 0.02\nmean_pair_number = 0.04\n")
     envcfg = tmp_path / "env.params"
     envcfg.write_text("misalignment_error = 0.03\n")
-
-    import os
-
     env = dict(os.environ, PASSIVEQKD_PARAMS=str(envcfg))
     sim = ["simulate", "--pulses", "1", "--seed", "0", "--out", "p"]
 
@@ -205,15 +203,37 @@ def test_bad_param_file(tmp_path):
     assert "not_a_real_knob" in out.stderr
 
 
+_DIRECTORY = object()
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["mean_pair_number = abc\n", '{"mean_pair_number": null}\n', '{"mean_pair_number": 0.1,\n'],
-    ids=["non-numeric", "json-null", "malformed-json"],
+    "content, via_env",
+    [
+        ("mean_pair_number = abc\n", False),
+        ('{"mean_pair_number": null}\n', False),
+        ('{"mean_pair_number": 0.1,\n', False),
+        (None, False),
+        (_DIRECTORY, False),
+        (b"\xff\xfe", False),
+        (None, True),
+        (_DIRECTORY, True),
+        (b"\xff\xfe", True),
+    ],
+    ids=["non-numeric", "json-null", "malformed-json", "missing", "directory", "not-utf8",
+         "missing-env", "directory-env", "not-utf8-env"],
 )
-def test_malformed_param_file_is_an_error_line(tmp_path, text):
+def test_malformed_param_file_is_an_error_line(tmp_path, content, via_env):
     cfg = tmp_path / "bad.params"
-    cfg.write_text(text)
-    out = _run("optimize-mu", "--params", str(cfg), cwd=tmp_path)
+    if content is _DIRECTORY:
+        cfg.mkdir()
+    elif isinstance(content, bytes):
+        cfg.write_bytes(content)
+    elif content is not None:
+        cfg.write_text(content)
+    if via_env:
+        out = _run("optimize-mu", env=dict(os.environ, PASSIVEQKD_PARAMS=str(cfg)), cwd=tmp_path)
+    else:
+        out = _run("optimize-mu", "--params", str(cfg), cwd=tmp_path)
     assert out.returncode == 1
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from passiveqkd import toeplitz
 from passiveqkd import (
     BitString,
     ParameterError,
@@ -30,15 +31,57 @@ def _naive_toeplitz(seed_bits, in_bits, n_out):
     return out
 
 
+def _int_gf2_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer reference for the valid-mode GF(2) convolution.
+
+    Each bit is spread into a 32-bit slot, so the big-integer product holds
+    every column count in its own slot with no carry between slots; the
+    parity of each slot is the output bit.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    spread = [int.from_bytes(x.astype("<u4").tobytes(), "little") for x in (a, b)]
+    buf = (spread[0] * spread[1]).to_bytes(4 * (len(a) + len(b) - 1), "little")
+    full = (np.frombuffer(buf, dtype="<u4") & 1).astype(np.uint8)
+    return full[len(b) - 1 : len(a)]
+
+
 def test_gf2_convolve_matches_numpy():
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        a = rng.integers(0, 2, size=int(rng.integers(1, 64)), dtype=np.uint8)
-        b = rng.integers(0, 2, size=int(rng.integers(1, 64)), dtype=np.uint8)
-        want = np.convolve(a, b) % 2
+    shapes = [(int(la), int(lb)) for la, lb in rng.integers(1, 64, size=(30, 2))]
+    # circular lengths are powers of two: cover both sides of several
+    for k in range(1, 11):
+        shapes += [(la, int(rng.integers(1, la + 1))) for la in (2**k - 1, 2**k, 2**k + 1)]
+    for la, lb in shapes:
+        a = rng.integers(0, 2, size=la, dtype=np.uint8)
+        b = rng.integers(0, 2, size=lb, dtype=np.uint8)
+        want = np.convolve(a, b, "valid") % 2
         got = gf2_convolve(BitString.from_bits(a), BitString.from_bits(b))
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "la, lb",
+    [(100_000, 60_000), (2**17, 100_000), (2**16 + 1, 50_000), (99_991, 40_000)],
+    ids=["1e5-bits", "power-of-two", "power-of-two-plus-one", "prime"],
+)
+def test_gf2_convolve_matches_integer_oracle(la, lb):
+    rng = np.random.default_rng(la)
+    a = rng.integers(0, 2, size=la, dtype=np.uint8)
+    b = rng.integers(0, 2, size=lb, dtype=np.uint8)
+    got = gf2_convolve(BitString.from_bits(a), BitString.from_bits(b))
+    assert np.array_equal(got, _int_gf2_convolve(a, b))
+    assert np.array_equal(gf2_convolve(BitString.from_bits(b), BitString.from_bits(a)), got)
+
+
+def test_gf2_convolve_rejects_rounding_without_margin(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(toeplitz.np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    rng = np.random.default_rng(14)
+    a = BitString.random(1000, rng)
+    with pytest.raises(ArithmeticError):
+        gf2_convolve(a, BitString.random(100, rng))
 
 
 def test_gf2_convolve_empty():
