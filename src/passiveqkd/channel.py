@@ -4,8 +4,12 @@ A pulsed down-conversion source sits mid-link and emits ``n`` photon pairs
 per pump window with probability ``P(n) = (n+1) lam^n / (1+lam)^(n+2)``.
 Each arm carries half the channel loss; each receiver splits 50/50 between
 the two measurement bases and watches one threshold detector pair per basis.
-The analytic gain/error model and the Monte Carlo sampler below are two
-views of the same process, and the test suite holds them to each other.
+One truncated series over the pair number gives, per window, the
+probabilities of a coincidence, a usable window (one click on each side)
+and a correlated detection.  The analytic gain/error model sums it, and the
+Monte Carlo sampler draws class counts from it and then draws bases and
+bits for the usable windows only; the test suite holds the sampler to the
+analytic model and to a per-window reference sampler.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from .types import ParameterError, ProtocolParams
 __all__ = [
     "ChannelDerived",
     "GainQber",
-    "WindowBatch",
     "derive_channel",
     "pair_number_pmf",
     "pair_number_tail",
     "truncation_order",
     "coincidence_gain_qber",
     "coincidence_gain_qber_closed",
-    "sample_window_batch",
+    "sample_usable_windows",
 ]
 
 #: Probability mass allowed beyond the truncation point of the pair-number series.
@@ -117,9 +120,26 @@ def truncation_order(lam: float, tail_bound: float = TAIL_BOUND) -> int:
     return n
 
 
-def _click_prob(n: np.ndarray, eta: float, y0: float) -> np.ndarray:
+def _window_series(ch: ChannelDerived) -> tuple[np.ndarray, ...]:
+    """Terms of the per-window series over the pair number, truncated at ``TAIL_BOUND``.
+
+    Returns ``(pn, click_a, click_b, photon_a, photon_b, correlated)``: the
+    pair-number weights; per side, the probability of a click and of the
+    photon cluster registering; and the probability that the window is
+    correlated, i.e. a single pair whose photons both register while
+    neither side sees a background.
+    """
+    n = np.arange(truncation_order(ch.lam) + 1)
+    pn = pair_number_pmf(n, ch.lam)
+    miss_a = (1.0 - ch.eta_a) ** n
+    miss_b = (1.0 - ch.eta_b) ** n
     # Threshold detector pair: clicks unless every photon is lost and no background fires.
-    return 1.0 - (1.0 - y0) * (1.0 - eta) ** n
+    click_a = 1.0 - (1.0 - ch.y0) * miss_a
+    click_b = 1.0 - (1.0 - ch.y0) * miss_b
+    photon_a = 1.0 - miss_a
+    photon_b = 1.0 - miss_b
+    correlated = (1.0 - ch.y0) ** 2 * photon_a * photon_b * (n == 1)
+    return pn, click_a, click_b, photon_a, photon_b, correlated
 
 
 def coincidence_gain_qber(ch: ChannelDerived, misalignment: float) -> GainQber:
@@ -133,15 +153,8 @@ def coincidence_gain_qber(ch: ChannelDerived, misalignment: float) -> GainQber:
     """
     if not 0.0 <= misalignment <= 1.0:
         raise ParameterError("misalignment must lie in [0, 1]")
-    n = np.arange(truncation_order(ch.lam) + 1)
-    pn = pair_number_pmf(n, ch.lam)
-    both_click = _click_prob(n, ch.eta_a, ch.y0) * _click_prob(n, ch.eta_b, ch.y0)
-    correlated = (
-        (1.0 - ch.y0) ** 2
-        * (1.0 - (1.0 - ch.eta_a) ** n)
-        * (1.0 - (1.0 - ch.eta_b) ** n)
-        * (n == 1)
-    )
+    pn, click_a, click_b, _, _, correlated = _window_series(ch)
+    both_click = click_a * click_b
     gain = float(np.dot(pn, both_click))
     err_gain = float(np.dot(pn, RANDOM_ERROR * both_click - (RANDOM_ERROR - misalignment) * correlated))
     if gain <= 0.0:
@@ -172,65 +185,52 @@ def coincidence_gain_qber_closed(ch: ChannelDerived, misalignment: float) -> Gai
     return GainQber(gain=gain, qber=min(max(err_gain / gain, 0.0), RANDOM_ERROR))
 
 
-@dataclass(slots=True)
-class WindowBatch:
-    """Column-oriented batch of sampled windows (uint8/bool arrays).
-
-    ``*_click`` holds 0 = no click, 1 = single click, 2 = double click.
-    Bit columns are meaningful only where the side clicked.  Basis columns
-    use 0 for X and 1 for Z.
-    """
-
-    alice_basis: np.ndarray
-    bob_basis: np.ndarray
-    alice_click: np.ndarray
-    bob_click: np.ndarray
-    alice_bit: np.ndarray
-    bob_bit: np.ndarray
-
-
-def sample_window_batch(
+def sample_usable_windows(
     ch: ChannelDerived,
     misalignment: float,
     rng: np.random.Generator,
-    size: int,
-) -> WindowBatch:
-    """Draw ``size`` windows whose marginals converge to the analytic model.
+    n_pulses: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Draw the usable windows among ``n_pulses`` pump windows.
 
-    Event model, per window: the pair number follows the source law (a
-    negative binomial with two successes); each side's photon cluster
-    registers with probability ``1-(1-eta)^n`` and reads out as one outcome
-    bit, and an independent background click lands on a uniformly chosen
-    detector with probability ``y0``.  A single-pair window in which both
-    photons register and neither side sees a background is a correlated
-    detection: in a matched basis Bob's bit equals Alice's flipped with
-    probability ``misalignment``.  Every other coincidence yields
-    independent uniform bits.  A side reports a double click when its
-    background lands opposite its photon outcome.
+    Event model, per window: the pair number follows the source law; each
+    side's photon cluster registers with probability ``1-(1-eta)^n`` and
+    reads out as one uniform outcome bit, and an independent background
+    click lands on a uniformly chosen detector with probability ``y0``.  A
+    side double-clicks when its background lands opposite its photon
+    outcome.  A correlated window (see :func:`_window_series`) in a matched
+    basis gives Bob Alice's bit flipped with probability ``misalignment``;
+    every other coincidence gives independent uniform bits.
+
+    Only windows in which both sides single-click are usable, so one
+    multinomial draw splits the windows into usable, coincident with a
+    double click, and the rest, and bases and bits are drawn for the usable
+    windows alone: the cost scales with detections, not pump windows.
+    Within the usable class the correlated windows are exchangeable with
+    the others, so each usable window carries one Bernoulli label.
+
+    Returns ``(alice_basis, bob_basis, alice_bit, bob_bit, n_double)``: four
+    uint8 columns over the usable windows (basis 0 is X, 1 is Z) and the
+    number of coincident windows with a double click on some side.
     """
-    if size < 0:
-        raise ParameterError("size must be non-negative")
-    n = rng.negative_binomial(2, 1.0 / (1.0 + ch.lam), size=size)
-    a_basis = rng.integers(0, 2, size=size, dtype=np.uint8)
-    b_basis = rng.integers(0, 2, size=size, dtype=np.uint8)
-    a_ph = rng.random(size) < 1.0 - (1.0 - ch.eta_a) ** n
-    b_ph = rng.random(size) < 1.0 - (1.0 - ch.eta_b) ** n
-    a_bg = rng.random(size) < ch.y0
-    b_bg = rng.random(size) < ch.y0
-    a_bg_det = rng.integers(0, 2, size=size, dtype=np.uint8)
-    b_bg_det = rng.integers(0, 2, size=size, dtype=np.uint8)
-    a_out = rng.integers(0, 2, size=size, dtype=np.uint8)
-    flip = rng.random(size) < misalignment
-    b_indep = rng.integers(0, 2, size=size, dtype=np.uint8)
-
-    correlated = (n == 1) & a_ph & b_ph & ~a_bg & ~b_bg
-    matched = a_basis == b_basis
-    b_out = np.where(correlated & matched, a_out ^ flip, b_indep).astype(np.uint8)
-
-    a_bit = np.where(a_ph, a_out, a_bg_det).astype(np.uint8)
-    b_bit = np.where(b_ph, b_out, b_bg_det).astype(np.uint8)
-    a_click = (a_ph | a_bg).astype(np.uint8)
-    b_click = (b_ph | b_bg).astype(np.uint8)
-    a_click += (a_ph & a_bg & (a_bg_det != a_out)).astype(np.uint8)
-    b_click += (b_ph & b_bg & (b_bg_det != b_out)).astype(np.uint8)
-    return WindowBatch(a_basis, b_basis, a_click, b_click, a_bit, b_bit)
+    if n_pulses < 0:
+        raise ParameterError("n_pulses must be non-negative")
+    pn, click_a, click_b, photon_a, photon_b, correlated = _window_series(ch)
+    # a background that lands opposite the photon outcome (half of them) double-clicks
+    single_a = click_a - photon_a * (ch.y0 / 2.0)
+    single_b = click_b - photon_b * (ch.y0 / 2.0)
+    p_coinc = float(np.dot(pn, click_a * click_b))
+    p_usable = float(np.dot(pn, single_a * single_b))
+    p_corr = float(np.dot(pn, correlated))
+    # single clicks never exceed clicks term by term, so p_usable <= p_coinc <= 1
+    n_usable, n_double, _ = rng.multinomial(
+        n_pulses, [p_usable, p_coinc - p_usable, 1.0 - p_coinc]
+    )
+    a_basis = rng.integers(0, 2, size=n_usable, dtype=np.uint8)
+    b_basis = rng.integers(0, 2, size=n_usable, dtype=np.uint8)
+    a_bit = rng.integers(0, 2, size=n_usable, dtype=np.uint8)
+    is_corr = rng.random(n_usable) < (p_corr / p_usable if p_usable > 0.0 else 0.0)
+    # Bob errs with the misalignment on correlated matched windows, else at random
+    p_err = np.where(is_corr & (a_basis == b_basis), misalignment, RANDOM_ERROR)
+    b_bit = a_bit ^ (rng.random(n_usable) < p_err).astype(np.uint8)
+    return a_basis, b_basis, a_bit, b_bit, int(n_double)

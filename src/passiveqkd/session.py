@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import derive_channel, sample_window_batch
+from .channel import derive_channel, sample_usable_windows
 from .rates import (
     binary_entropy,
     certified_rates,
@@ -40,7 +41,6 @@ from .types import (
 
 __all__ = ["ClassicalMessage", "SessionResult", "run_session"]
 
-_CHUNK = 1 << 20
 # Seed-sequence spawn key for the pre-shared extractor seed; keeps the
 # private randomness on a stream of its own, independent of the channel draws.
 _PRIVATE_STREAM = 0x5EED
@@ -146,30 +146,14 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
 
     Session statuses: "ok"; "no-key" when the certified key length is zero.
     """
-    if n_pulses < 1:
-        raise ParameterError("n_pulses must be at least 1")
+    if isinstance(n_pulses, bool) or not isinstance(n_pulses, numbers.Integral) or n_pulses < 1:
+        raise ParameterError(f"n_pulses must be an integer of at least 1, got {n_pulses!r}")
     if rng_seed < 0:
         raise ParameterError("rng_seed must be non-negative")
-    ch = derive_channel(params)
     rng = np.random.default_rng(rng_seed)
-
-    # Only usable windows (exactly one click per side) are kept, as the
-    # columns alice basis, bob basis, alice bit, bob bit.
-    usable_cols = []
-    n_double = 0
-    remaining = n_pulses
-    while remaining > 0:
-        size = min(_CHUNK, remaining)
-        batch = sample_window_batch(ch, params.misalignment_error, rng, size)
-        remaining -= size
-        coincident = (batch.alice_click > 0) & (batch.bob_click > 0)
-        usable = (batch.alice_click == 1) & (batch.bob_click == 1)
-        n_double += int(coincident.sum() - usable.sum())
-        cols = (batch.alice_basis, batch.bob_basis, batch.alice_bit, batch.bob_bit)
-        usable_cols.append([col[usable] for col in cols])
-        # free this chunk before the next is drawn, so at most one is held
-        del batch, cols, coincident, usable
-    a_basis, b_basis, a_bit, b_bit = (np.concatenate(col) for col in zip(*usable_cols))
+    a_basis, b_basis, a_bit, b_bit, n_double = sample_usable_windows(
+        derive_channel(params), params.misalignment_error, rng, n_pulses
+    )
 
     matched = a_basis == b_basis
     sift_a, sift_b, sift_basis = a_bit[matched], b_bit[matched], a_basis[matched]

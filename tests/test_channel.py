@@ -1,9 +1,11 @@
-"""Channel statistics: pair-number law, gain/QBER, and the window sampler."""
+"""Channel statistics: pair-number law, gain/QBER, and the window samplers."""
 
 import math
 
 import numpy as np
 import pytest
+
+from window_oracle import sample_window_batch
 
 from passiveqkd import (
     ParameterError,
@@ -13,7 +15,7 @@ from passiveqkd import (
     derive_channel,
     pair_number_pmf,
     pair_number_tail,
-    sample_window_batch,
+    sample_usable_windows,
     truncation_order,
 )
 
@@ -86,17 +88,20 @@ def test_dead_channel_has_no_clicks():
     gq = coincidence_gain_qber(ch, 0.015)
     assert gq.gain == 0.0
     assert gq.qber == 0.5  # convention for an undefined ratio
-    batch = sample_window_batch(ch, 0.015, np.random.default_rng(0), 20_000)
-    assert int(batch.alice_click.sum()) == 0
-    assert int(batch.bob_click.sum()) == 0
+    *cols, n_double = sample_usable_windows(ch, 0.015, np.random.default_rng(0), 20_000)
+    assert [col.size for col in cols] == [0, 0, 0, 0]
+    assert n_double == 0
 
 
 def test_sampler_is_deterministic():
     ch = derive_channel(REF.replace(channel_loss_db=10.0))
-    a = sample_window_batch(ch, 0.015, np.random.default_rng(42), 50_000)
-    b = sample_window_batch(ch, 0.015, np.random.default_rng(42), 50_000)
-    for name in ("alice_basis", "bob_basis", "alice_click", "bob_click", "alice_bit", "bob_bit"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    a = sample_usable_windows(ch, 0.015, np.random.default_rng(42), 50_000)
+    b = sample_usable_windows(ch, 0.015, np.random.default_rng(42), 50_000)
+    assert a[0].size > 0
+    for col_a, col_b in zip(a[:4], b[:4]):
+        assert col_a.dtype == np.uint8
+        assert np.array_equal(col_a, col_b)
+    assert a[4] == b[4]
 
 
 def test_sampler_marginals_track_analytics():
@@ -105,18 +110,79 @@ def test_sampler_marginals_track_analytics():
     ch = derive_channel(p)
     gq = coincidence_gain_qber(ch, p.misalignment_error)
     n = 400_000
-    batch = sample_window_batch(ch, p.misalignment_error, np.random.default_rng(7), n)
-    coincident = (batch.alice_click > 0) & (batch.bob_click > 0)
-    q_emp = coincident.sum() / n
+    a_basis, b_basis, a_bit, b_bit, n_double = sample_usable_windows(
+        ch, p.misalignment_error, np.random.default_rng(7), n
+    )
+    q_emp = (a_basis.size + n_double) / n
     se = math.sqrt(gq.gain * (1.0 - gq.gain) / n)
     assert abs(q_emp - gq.gain) < 6.0 * se
 
-    usable = (batch.alice_click == 1) & (batch.bob_click == 1)
-    matched = usable & (batch.alice_basis == batch.bob_basis)
+    matched = a_basis == b_basis
     n_s = int(matched.sum())
-    errs = int((batch.alice_bit[matched] != batch.bob_bit[matched]).sum())
+    errs = int((a_bit[matched] != b_bit[matched]).sum())
     se_e = math.sqrt(gq.qber * (1.0 - gq.qber) / n_s)
     assert abs(errs / n_s - gq.qber) < 6.0 * se_e
+
+
+def _two_sample_z(k1, n1, k2, n2):
+    """z statistic of the difference between two binomial proportions."""
+    pooled = (k1 + k2) / (n1 + n2)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+    return abs(k1 / n1 - k2 / n2) / se if se > 0.0 else 0.0
+
+
+def _window_stats(a_basis, b_basis, a_bit, b_bit, n_double, n):
+    """(count, trials) for the statistics both samplers must share."""
+    matched = a_basis == b_basis
+    n_s = int(matched.sum())
+    return {
+        "usable": (a_basis.size, n),
+        "double": (n_double, n),
+        "qber": (int((a_bit[matched] != b_bit[matched]).sum()), n_s),
+        "basis_match": (n_s, a_basis.size),
+        "alice_ones": (int(a_bit.sum()), a_bit.size),
+    }
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"channel_loss_db": 0.0},
+        {"channel_loss_db": 10.0},
+        {"channel_loss_db": 20.0},
+        {"channel_loss_db": 0.0, "dark_count_prob": 1e-2},
+    ],
+    ids=["0dB", "10dB", "20dB", "0dB-dark"],
+)
+def test_sampler_matches_per_window_oracle(changes):
+    """Two-sample 5-sigma test of the class sampler against the per-window oracle."""
+    p = REF.replace(**changes)
+    ch = derive_channel(p)
+    n, chunks = 1_000_000, 4
+    rng = np.random.default_rng(5)
+    oracle = {}
+    for _ in range(chunks):
+        batch = sample_window_batch(ch, p.misalignment_error, rng, n)
+        coincident = (batch.alice_click > 0) & (batch.bob_click > 0)
+        usable = (batch.alice_click == 1) & (batch.bob_click == 1)
+        stats = _window_stats(
+            batch.alice_basis[usable], batch.bob_basis[usable], batch.alice_bit[usable],
+            batch.bob_bit[usable], int(coincident.sum() - usable.sum()), n,
+        )
+        for name, (k, m) in stats.items():
+            k0, m0 = oracle.get(name, (0, 0))
+            oracle[name] = (k0 + k, m0 + m)
+        del batch, coincident, usable
+    fast = _window_stats(
+        *sample_usable_windows(ch, p.misalignment_error, np.random.default_rng(6), chunks * n),
+        chunks * n,
+    )
+    assert oracle["usable"][0] > 0
+    if "dark_count_prob" in changes:
+        assert oracle["double"][0] > 0 and fast["double"][0] > 0
+    for name, (k1, n1) in oracle.items():
+        k2, n2 = fast[name]
+        assert _two_sample_z(k1, n1, k2, n2) < 5.0, (name, k1, n1, k2, n2)
 
 
 def test_truncation_order_validation():

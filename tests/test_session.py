@@ -10,7 +10,9 @@ from passiveqkd import (
     HashFamily,
     ParameterError,
     ProtocolParams,
+    optimize_mu,
     passive_final_key_length,
+    rate_point,
     reassignment_demand,
     run_session,
     solve_epsilon,
@@ -47,6 +49,10 @@ def test_run_session_validation():
         run_session(BENCH, 0, 1)
     with pytest.raises(ParameterError):
         run_session(BENCH, 100, -1)
+    # the multinomial draw would truncate 1.5 to 1 and take True as 1
+    for bad in (True, 1.5, 1000.0, "1000"):
+        with pytest.raises(ParameterError):
+            run_session(BENCH, bad, 1)
 
 
 def test_run_session_deterministic():
@@ -177,3 +183,21 @@ def test_session_without_toeplitz_budget():
 def test_report_marks_accounting_only_keys(family, pa):
     r = run_session(BENCH.replace(hash_family=family), 20_000, 2)
     assert r.to_json_dict()["pa"] == pa
+
+
+@pytest.mark.parametrize("loss", [0.0, 10.0, 20.0])
+def test_session_key_tracks_rate_point_below_bbm92(loss):
+    """The paper's claim end to end: mismatched-basis detections fund PA.
+
+    A session sized to fill one ``block_size`` block at the optimal pump
+    certifies a key within 5% of ``rate_point``'s passive length, and below
+    the BBM92 length that a free seed would allow.
+    """
+    params = ProtocolParams(channel_loss_db=loss)
+    params = params.replace(mean_pair_number=optimize_mu(params).mu)
+    rp = rate_point(params)
+    n_pulses = int(params.block_size / rp.q_gain)
+    for seed in (1, 2, 3):
+        r = run_session(params, n_pulses, seed)
+        assert abs(r.n_f - rp.n_f_passive) <= 0.05 * rp.n_f_passive, (seed, r.n_f, rp.n_f_passive)
+        assert r.n_f < rp.n_f_bbm92
