@@ -1,96 +1,17 @@
-"""Passively seeded entanglement QKD: certified rates, sessions, extraction."""
+"""Passively seeded entanglement QKD: certified rates, sessions, extraction.
 
-from .channel import (
-    ChannelDerived,
-    GainQber,
-    coincidence_gain_qber,
-    coincidence_gain_qber_closed,
-    derive_channel,
-    pair_number_pmf,
-    pair_number_tail,
-    sample_usable_windows,
-    truncation_order,
-)
-from .optimize import MuOptimum, optimize_mu, sweep_loss
-from .rates import (
-    binary_entropy,
-    certified_rates,
-    key_length_basis,
-    min_entropy_error_corrected,
-    min_entropy_mismatched_aggregate,
-    min_entropy_mismatched_per_basis,
-    passive_final_key_length,
-    phase_error_upper_bound,
-    rate_point,
-    reassignment_demand,
-    seed_ledger,
-    seed_requirement,
-    solve_epsilon,
-)
-from .session import ClassicalMessage, SessionResult, run_session
-from .toeplitz import (
-    ToeplitzSpec,
-    extract_local_randomness,
-    gf2_convolve,
-    modified_toeplitz_hash,
-    toeplitz_hash,
-)
-from .types import (
-    CSV_COLUMNS,
-    BitString,
-    ErrorRates,
-    HashFamily,
-    ParameterError,
-    ProtocolParams,
-    RateBreakdown,
-    SessionTally,
-    make_error_rates,
-)
+The package exports exactly the names its modules list in ``__all__``.
+"""
+
+from . import channel, optimize, rates, session, toeplitz, types
+from .channel import *  # noqa: F403
+from .optimize import *  # noqa: F403
+from .rates import *  # noqa: F403
+from .session import *  # noqa: F403
+from .toeplitz import *  # noqa: F403
+from .types import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitString",
-    "CSV_COLUMNS",
-    "ChannelDerived",
-    "ClassicalMessage",
-    "ErrorRates",
-    "GainQber",
-    "HashFamily",
-    "MuOptimum",
-    "ParameterError",
-    "ProtocolParams",
-    "RateBreakdown",
-    "SessionResult",
-    "SessionTally",
-    "ToeplitzSpec",
-    "binary_entropy",
-    "certified_rates",
-    "coincidence_gain_qber",
-    "coincidence_gain_qber_closed",
-    "derive_channel",
-    "extract_local_randomness",
-    "gf2_convolve",
-    "key_length_basis",
-    "make_error_rates",
-    "min_entropy_error_corrected",
-    "min_entropy_mismatched_aggregate",
-    "min_entropy_mismatched_per_basis",
-    "modified_toeplitz_hash",
-    "optimize_mu",
-    "pair_number_pmf",
-    "pair_number_tail",
-    "passive_final_key_length",
-    "phase_error_upper_bound",
-    "rate_point",
-    "reassignment_demand",
-    "run_session",
-    "sample_usable_windows",
-    "seed_ledger",
-    "seed_requirement",
-    "solve_epsilon",
-    "sweep_loss",
-    "toeplitz_hash",
-    "truncation_order",
-    "__version__",
-]
+_MODULES = (channel, optimize, rates, session, toeplitz, types)
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -30,6 +30,7 @@ from .types import (
     HashFamily,
     ParameterError,
     ProtocolParams,
+    _coerce_fields,
     make_error_rates,
 )
 
@@ -37,34 +38,27 @@ __all__ = ["main"]
 
 _PARAMS_ENV = "PASSIVEQKD_PARAMS"
 
-# Numeric ProtocolParams fields, each set by a flag named after it and
-# converted to its default's type; hash_family has a flag of its own.
-_PARAM_FIELDS = [f for f in dataclasses.fields(ProtocolParams) if f.name != "hash_family"]
+# Every ProtocolParams field is set by a flag named after it.  Flag values stay
+# text until _coerce_fields parses them, as it parses a parameter file's values.
+_PARAM_NAMES = [f.name for f in dataclasses.fields(ProtocolParams)]
+_FAMILY_HELP = "seed hash family (f1r-f2r, f3r-f4r, toeplitz, trevisan, tssr, eps-almost-pairwise)"
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--params", metavar="FILE", help="parameter file (JSON or key=value)")
-    for f in _PARAM_FIELDS:
-        flag = "--" + f.name.replace("_", "-")
-        sub.add_argument(flag, dest=f.name, type=type(f.default), metavar="V")
-    sub.add_argument(
-        "--hash-family",
-        "--family",
-        dest="hash_family",
-        metavar="NAME",
-        help="seed hash family (f1r-f2r, f3r-f4r, toeplitz, trevisan, tssr, eps-almost-pairwise)",
-    )
+    for name in _PARAM_NAMES:
+        flag = "--" + name.replace("_", "-")
+        if name == "hash_family":
+            sub.add_argument(flag, "--family", dest=name, metavar="NAME", help=_FAMILY_HELP)
+        else:
+            sub.add_argument(flag, dest=name, metavar="V")
 
 
 def _load_params(args: argparse.Namespace) -> ProtocolParams:
     path = args.params or os.environ.get(_PARAMS_ENV)
     params = ProtocolParams.from_file(path) if path else ProtocolParams()
-    overrides = {
-        f.name: getattr(args, f.name) for f in _PARAM_FIELDS if getattr(args, f.name) is not None
-    }
-    if args.hash_family is not None:
-        overrides["hash_family"] = HashFamily.parse(args.hash_family)
-    return params.replace(**overrides) if overrides else params
+    overrides = {n: getattr(args, n) for n in _PARAM_NAMES if getattr(args, n) is not None}
+    return params.replace(**_coerce_fields(overrides)) if overrides else params
 
 
 def _parse_loss_range(text: str, parser: argparse.ArgumentParser) -> list[float]:

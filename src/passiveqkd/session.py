@@ -29,7 +29,7 @@ from .rates import (
     seed_ledger,
     solve_epsilon,
 )
-from .toeplitz import extract_local_randomness, modified_toeplitz_hash
+from .toeplitz import extract_local_randomness, leftover_hash_penalty, modified_toeplitz_hash
 from .types import (
     BitString,
     ErrorRates,
@@ -133,6 +133,13 @@ class SessionResult:
         return "".join(m.to_line() + "\n" for m in self.transcript)
 
 
+def _whole_number(name: str, value, least: int) -> int:
+    """``value`` as a Python ``int``, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> SessionResult:
     """Simulate one complete session of ``n_pulses`` pump windows.
 
@@ -146,10 +153,8 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
 
     Session statuses: "ok"; "no-key" when the certified key length is zero.
     """
-    if isinstance(n_pulses, bool) or not isinstance(n_pulses, numbers.Integral) or n_pulses < 1:
-        raise ParameterError(f"n_pulses must be an integer of at least 1, got {n_pulses!r}")
-    if rng_seed < 0:
-        raise ParameterError("rng_seed must be non-negative")
+    n_pulses = _whole_number("n_pulses", n_pulses, 1)
+    rng_seed = _whole_number("rng_seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)
     a_basis, b_basis, a_bit, b_bit, n_double = sample_usable_windows(
         derive_channel(params), params.misalignment_error, rng, n_pulses
@@ -187,7 +192,7 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     ec_leak = f * binary_entropy(rates.e_b_tilde) * n_s
     if not math.isfinite(ec_leak):
         raise ParameterError(f"error-correction leak is not finite (ec_efficiency {f!r})")
-    penalty = 2.0 * math.log2(1.0 / params.extractor_failure_prob)
+    penalty = leftover_hash_penalty(params.extractor_failure_prob)
     epsilon_nominal = solve_epsilon(tally.n_r, n_s, rates, f, family)
     epsilon = solve_epsilon(tally.n_r, n_s, rates, f, family, penalty)
     n_out, _, n_f = seed_ledger(epsilon, tally.n_r, n_s, rates, f, family, penalty)

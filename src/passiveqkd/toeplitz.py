@@ -21,6 +21,7 @@ __all__ = [
     "toeplitz_hash",
     "modified_toeplitz_hash",
     "extract_local_randomness",
+    "leftover_hash_penalty",
     "gf2_convolve",
 ]
 
@@ -109,16 +110,20 @@ def modified_toeplitz_hash(data: BitString, n_out: int, seed: BitString) -> BitS
     return head ^ BitString.from_bits(gf2_convolve(seed, data[n_out:]))
 
 
+def leftover_hash_penalty(eps_ext: float) -> float:
+    """Leftover-hash cost in bits of one extraction at failure probability ``eps_ext``."""
+    return 2.0 * math.log2(1.0 / eps_ext)
+
+
 def extract_local_randomness(
     w_pool: BitString, h_min_bits: float, private_seed: BitString, eps_ext: float
 ) -> BitString:
     """Condense a certified pool into nearly uniform bits via Toeplitz hashing.
 
-    The leftover hash penalty for a single use at failure probability
-    ``eps_ext`` is ``2 log2(1/eps_ext)`` bits, so the output length is
-    ``floor(h_min_bits - 2 log2(1/eps_ext))``, never more than the pool
-    itself.  The private seed is pre-shared, stays off the public channel,
-    and is therefore reusable across sessions.
+    The output length is ``floor(h_min_bits - 2 log2(1/eps_ext))`` (see
+    :func:`leftover_hash_penalty`), never more than the pool itself.  The
+    private seed is pre-shared, stays off the public channel, and is
+    therefore reusable across sessions.
 
     :raises ParameterError: if the private seed does not hold exactly
         ``len(w_pool) + n_out - 1`` bits for the resulting ``n_out``.
@@ -127,7 +132,7 @@ def extract_local_randomness(
         raise ParameterError("eps_ext must lie in (0, 1)")
     if h_min_bits > len(w_pool):
         raise ParameterError("certified entropy cannot exceed the pool length")
-    n_out = math.floor(h_min_bits - 2.0 * math.log2(1.0 / eps_ext))
+    n_out = math.floor(h_min_bits - leftover_hash_penalty(eps_ext))
     if n_out <= 0 or len(w_pool) == 0:
         return BitString.zeros(0)
     spec = ToeplitzSpec(n_in=len(w_pool), n_out=n_out, seed=private_seed)

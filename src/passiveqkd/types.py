@@ -10,6 +10,7 @@ import dataclasses
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -208,9 +209,10 @@ class ProtocolParams:
     channel_loss_db: float = 0.0
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            if kind is float and not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ParameterError(f"{name} must be a finite number, got {value!r}")
         _check_unit("dark_count_prob", self.dark_count_prob)
         _check_unit("detector_efficiency", self.detector_efficiency)
         _check_unit("misalignment_error", self.misalignment_error)
@@ -223,8 +225,9 @@ class ProtocolParams:
             raise ParameterError("phase_est_failure_prob must lie in (0, 1)")
         if not 0.0 < self.extractor_failure_prob < 1.0:
             raise ParameterError("extractor_failure_prob must lie in (0, 1)")
-        if not isinstance(self.block_size, int) or self.block_size < 1:
-            raise ParameterError(f"block_size must be an integer >= 1, got {self.block_size!r}")
+        size = self.block_size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ParameterError(f"block_size must be an integer >= 1, got {size!r}")
         if self.channel_loss_db < 0.0:
             raise ParameterError("channel_loss_db must be non-negative")
         if not isinstance(self.hash_family, HashFamily):
@@ -274,25 +277,48 @@ class ProtocolParams:
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ProtocolParams)}
+_FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind is float)
 
 
 def _coerce_fields(data: dict) -> dict:
+    """Parse parameter-file or flag values (text or JSON) into typed fields.
+
+    This is the one parser of outside input.  ``block_size`` is read
+    exactly: integers and integer strings of any size stay as they are,
+    ``"1e6"`` and ``1000000.0`` give 1000000 and ``1.5`` is refused.  A
+    boolean is never taken for a number.
+    """
     out = {}
     for name, value in data.items():
-        if name not in _FIELD_TYPES:
+        kind = _FIELD_TYPES.get(name)
+        if kind is None:
             raise ParameterError(f"unknown parameter: {name!r}")
-        kind = _FIELD_TYPES[name]
         if kind is HashFamily:
             out[name] = value if isinstance(value, HashFamily) else HashFamily.parse(str(value))
-            continue
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            raise ParameterError(f"{name} must be a number, got {value!r}") from None
-        if kind is int and not number.is_integer():
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-        out[name] = kind(number)
+        elif isinstance(value, (bool, np.bool_)):
+            raise ParameterError(f"{name} must be a number, got {value!r}")
+        else:
+            out[name] = _parse_int(name, value) if kind is int else _parse_float(name, value)
     return out
+
+
+def _parse_int(name: str, value) -> int:
+    if isinstance(value, (numbers.Integral, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    number = _parse_float(name, value)
+    if not number.is_integer():
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _parse_float(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -145,6 +145,23 @@ def test_json_report_roundtrips_through_json():
     assert back["k_final"]["len"] == len(r.k_final)
 
 
+def test_report_from_numpy_integers_dumps_like_ints():
+    import json
+
+    import numpy as np
+
+    r = run_session(BENCH, np.int64(20_000), np.int64(2))
+    assert type(r.n_pulses) is int and type(r.rng_seed) is int
+    expected = json.dumps(run_session(BENCH, 20_000, 2).to_json_dict())
+    assert json.dumps(r.to_json_dict()) == expected
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "3", -1])
+def test_run_session_rejects_a_bad_seed(bad):
+    with pytest.raises(ParameterError):
+        run_session(BENCH, 100, bad)
+
+
 def test_noiseless_starved_session_has_no_key():
     p = ProtocolParams(
         dark_count_prob=0.0,
