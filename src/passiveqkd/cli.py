@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -25,14 +26,8 @@ from pathlib import Path
 from .optimize import optimize_mu, sweep_loss
 from .rates import seed_ledger, solve_epsilon
 from .session import run_session
-from .types import (
-    CSV_COLUMNS,
-    HashFamily,
-    ParameterError,
-    ProtocolParams,
-    _coerce_fields,
-    make_error_rates,
-)
+from .types import CSV_COLUMNS, HashFamily, ParameterError, ProtocolParams, make_error_rates
+from .types import _coerce_fields, _parse_float, _parse_int
 
 __all__ = ["main"]
 
@@ -92,7 +87,7 @@ def _cmd_rate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     params = _load_params(args)
-    result = run_session(params, args.pulses, args.seed)
+    result = run_session(params, _parse_int("pulses", args.pulses), _parse_int("seed", args.seed))
     report_path = Path(f"{args.out}.report.json")
     report_path.write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
     Path(f"{args.out}.transcript.log").write_text(result.transcript_log())
@@ -105,15 +100,17 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_epsilon(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.n_s > args.n_r:
+    n_r, n_s = _parse_int("n_r", args.n_r), _parse_int("n_s", args.n_s)
+    e_b, e_p, f = (_parse_float(n, getattr(args, n)) for n in ("e_b_tilde", "e_p_tilde", "ec_efficiency"))
+    if n_s > n_r:
         raise ParameterError("n_s cannot exceed n_r")
-    rates = make_error_rates(args.e_b_tilde, args.e_b_tilde, args.e_p_tilde, args.e_p_tilde)
+    rates = make_error_rates(e_b, e_b, e_p, e_p)
     families = (
         [HashFamily.parse(args.hash_family)] if args.hash_family is not None else list(HashFamily)
     )
     for family in families:
-        eps = solve_epsilon(args.n_r, args.n_s, rates, args.ec_efficiency, family)
-        supply, demand, _ = seed_ledger(eps, args.n_r, args.n_s, rates, args.ec_efficiency, family)
+        eps = solve_epsilon(n_r, n_s, rates, f, family)
+        supply, demand, _ = seed_ledger(eps, n_r, n_s, rates, f, family)
         print(
             f"family={family.value} epsilon={eps} "
             f"seed_supply={supply!r} seed_demand={float(demand)!r}"
@@ -135,6 +132,7 @@ def _cmd_optimize_mu(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     return 0
 
 
+@functools.cache  # built by the first call to main and kept: parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="passiveqkd",
@@ -150,17 +148,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = subs.add_parser("simulate", help="run one seeded session and write report files")
     _add_param_flags(p_sim)
-    p_sim.add_argument("--pulses", type=int, default=1_000_000, help="pump windows to sample")
-    p_sim.add_argument("--seed", type=int, default=0, help="session RNG seed")
+    p_sim.add_argument("--pulses", default=1_000_000, help="pump windows to sample")
+    p_sim.add_argument("--seed", default=0, help="session RNG seed")
     p_sim.add_argument("--out", default="session", metavar="PREFIX", help="output prefix for .report.json and .transcript.log")
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_eps = subs.add_parser("epsilon", help="reassignment solve and seed budget table")
-    p_eps.add_argument("--n-r", type=int, required=True, dest="n_r")
-    p_eps.add_argument("--n-s", type=int, required=True, dest="n_s")
-    p_eps.add_argument("--e-b-tilde", type=float, required=True, dest="e_b_tilde")
-    p_eps.add_argument("--e-p-tilde", type=float, required=True, dest="e_p_tilde")
-    p_eps.add_argument("--ec-efficiency", type=float, default=ProtocolParams().ec_efficiency)
+    p_eps.add_argument("--n-r", required=True, dest="n_r")
+    p_eps.add_argument("--n-s", required=True, dest="n_s")
+    p_eps.add_argument("--e-b-tilde", required=True, dest="e_b_tilde")
+    p_eps.add_argument("--e-p-tilde", required=True, dest="e_p_tilde")
+    p_eps.add_argument("--ec-efficiency", default=ProtocolParams().ec_efficiency)
     p_eps.add_argument("--hash-family", "--family", dest="hash_family", metavar="NAME")
     p_eps.set_defaults(handler=_cmd_epsilon)
 

@@ -197,29 +197,52 @@ def solve_epsilon(
     """Smallest integer reassignment whose :func:`seed_ledger` supply covers its demand.
 
     The supply grows with ``eps`` while every family's demand shrinks, so the
-    feasibility predicate is monotone and bisection is exact.  ``eps = n_s``
-    always satisfies the budget (the key is then empty and demands nothing),
-    so a solution exists whenever the inputs are well-formed.
+    margin ``supply - demand`` is monotone and the search keeps a bracket:
+    ``lo`` infeasible, ``hi`` feasible, from ``lo = 0`` and ``hi = floor(n_s)``
+    (the key is then empty and demands nothing, so a solution exists whenever
+    the inputs are well-formed; if even ``hi`` falls short, it is returned).
+    Each probe sits where the margin, interpolated across the bracket,
+    crosses zero.  The margin is linear in ``eps`` for every family but
+    Trevisan, so the root is usually found by the probe and its neighbour,
+    four ledger evaluations in all.  A probe that fails to halve the bracket
+    is followed by a midpoint probe, so every two probes at least halve it:
+    at most ``2 + 2 ceil(log2(n_s))`` evaluations for ``n_s >= 1``, about
+    twice bisection's.
     """
     if n_s < 0 or n_s > n_r:
         raise ParameterError("need 0 <= n_s <= n_r")
-    if not f >= 1.0:
-        raise ParameterError("f must be at least 1")
+    if not 1.0 <= f < math.inf:
+        raise ParameterError("f must be finite and at least 1")
 
-    def feasible(eps: int) -> bool:
+    def margin(eps: int) -> float:
         supply, demand, _ = seed_ledger(eps, n_r, n_s, rates, f, family, penalty_bits)
-        return supply >= demand
+        return supply - demand
 
     lo, hi = 0, int(math.floor(n_s))
-    if feasible(lo):
+    m_lo = margin(lo)
+    if m_lo >= 0:
         return lo
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
+    m_hi = margin(hi)
+    if m_hi < 0:
+        return hi
+    midpoint = False
+    while hi - lo > 1:
+        width = hi - lo
+        if midpoint:
+            probe = (lo + hi) // 2
         else:
-            lo = mid + 1
-    return lo
+            # of the two integers around the root, probe the one that halves
+            # the bracket if it lands on the side the interpolation predicts
+            up = math.ceil(lo + width * (m_lo / (m_lo - m_hi)))
+            probe = up if up - lo <= hi - up + 1 else up - 1
+            probe = min(max(probe, lo + 1), hi - 1)
+        m = margin(probe)
+        if m >= 0:
+            hi, m_hi = probe, m
+        else:
+            lo, m_lo = probe, m
+        midpoint = not midpoint and hi - lo > (width + 1) // 2
+    return hi
 
 
 def passive_final_key_length(

@@ -1,4 +1,4 @@
-"""Command-line interface, exercised through real subprocesses."""
+"""Command-line interface, exercised through real subprocesses and in-process."""
 
 import json
 import os
@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import passiveqkd
-from passiveqkd import CSV_COLUMNS, RateBreakdown
+from passiveqkd import CSV_COLUMNS, ProtocolParams, RateBreakdown, cli
 
 FAST_SIM = [
     "--dark-count-prob", "0",
@@ -253,3 +253,88 @@ def test_bad_family_value():
                "--e-b-tilde", "0", "--family", "md5")
     assert out.returncode == 1
     assert "error:" in out.stderr
+
+
+# --- in-process calls through the parser that cli.main builds once and keeps
+
+EPSILON_ARGS = ["epsilon", "--n-r", "2000", "--n-s", "1000", "--e-p-tilde", "0.11", "--e-b-tilde", "0"]
+
+
+def _help(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse([*argv, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], ["rate"], ["simulate"], ["epsilon"], ["optimize-mu"]])
+def test_cached_parser_help_matches_a_fresh_parser(argv, capsys):
+    cached = _help(cli.main, argv, capsys)
+    fresh = _help(cli._build_parser.__wrapped__().parse_args, argv, capsys)
+    assert cached == fresh and cached.startswith("usage: passiveqkd")
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cached_parser_keeps_no_flags_between_calls(tmp_path):
+    assert cli.main(["simulate", *FAST_SIM, "--family", "f3r", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["simulate", "--pulses", "1000", "--out", str(tmp_path / "b")]) in (0, 3)
+    report = json.loads((tmp_path / "b.report.json").read_text())
+    assert report["params"] == ProtocolParams().to_json_dict()
+    assert report["rng_seed"] == 0 and report["n_pulses"] == 1000
+
+
+def test_cached_parser_recovers_from_a_usage_error(capsys):
+    assert cli.main(EPSILON_ARGS) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["epsilon", "--n-r", "2000", "--bogus"])
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(EPSILON_ARGS) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_import_does_not_build_the_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def record(self, *a, **k):\n"
+        "    built.append(k.get('prog'))\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = record\n"
+        "import passiveqkd, passiveqkd.cli\n"
+        "assert built == [], built\n"
+        "assert passiveqkd.cli._build_parser.cache_info().currsize == 0\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_count_flags_take_parameter_number_syntax(tmp_path, capsys):
+    assert cli.main(EPSILON_ARGS) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["epsilon", "--n-r", "2e3", "--n-s", "1000.0", "--e-p-tilde", "0.11",
+                     "--e-b-tilde", "0", "--ec-efficiency", "1.15"]) == 0
+    assert capsys.readouterr().out == plain
+    assert cli.main(["simulate", *FAST_SIM, "--out", str(tmp_path / "a")]) == 0
+    # the later flags override FAST_SIM's "--pulses 100000 --seed 3"
+    assert cli.main(["simulate", *FAST_SIM, "--pulses", "1e5", "--seed", "3.0",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a.report.json").read_bytes() == (tmp_path / "b.report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n-r", "1.5"), ("--n-s", "x"), ("--n-r", "inf"), ("--e-b-tilde", "nan"),
+     ("--e-p-tilde", "inf"), ("--ec-efficiency", "inf"), ("--ec-efficiency", "nan"),
+     ("--ec-efficiency", "0.5"), ("--pulses", "1.5"), ("--pulses", "many"), ("--seed", "nan")],
+)
+def test_bad_count_or_rate_flag_is_an_error_line(flag, value, tmp_path, capsys):
+    if flag in ("--pulses", "--seed"):
+        argv = ["simulate", "--pulses", "1000", "--out", str(tmp_path / "s"), flag, value]
+    else:
+        argv = [*EPSILON_ARGS, flag, value]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""

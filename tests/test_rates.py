@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solver_oracle import bisect_epsilon
+
+from passiveqkd import rates as rates_module
 from passiveqkd import (
     HashFamily,
     ParameterError,
@@ -20,6 +25,7 @@ from passiveqkd import (
     phase_error_upper_bound,
     rate_point,
     reassignment_demand,
+    seed_ledger,
     seed_requirement,
     solve_epsilon,
 )
@@ -216,7 +222,7 @@ def _scan_epsilon(n_r, n_s, rates, f, family, penalty_bits=None):
 
 
 def test_solve_epsilon_matches_linear_scan():
-    """Bisection against brute force; the 1000-instance battery is in acceptance.
+    """The solve against brute force; the 1000-instance battery is in acceptance.
 
     Runs the analytic solve and a session's penalized one, at the penalty
     ``2 log2(1/eps_ext)`` of the default extractor failure probability 2^-64.
@@ -236,9 +242,65 @@ def test_solve_epsilon_matches_linear_scan():
             assert got == _scan_epsilon(n_r, n_s, r, f, fam, penalty), (penalty, i)
 
 
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    n_s_int=st.integers(0, 10**7),
+    n_s_frac=st.sampled_from([0.0, 0.0, 0.25, 0.5]),
+    pool=st.integers(0, 10**7),
+    e_b=st.floats(0.0, 0.25),
+    e_p=st.floats(0.0, 0.5),
+    f=st.floats(1.0, 1.5),
+    family=st.sampled_from(list(HashFamily)),
+    penalty=st.sampled_from([None, 128.0]),
+)
+def test_solve_epsilon_matches_bisection_and_is_minimal(
+    n_s_int, n_s_frac, pool, e_b, e_p, f, family, penalty
+):
+    n_s = n_s_int + n_s_frac
+    n_r = n_s + pool
+    r = make_error_rates(e_b, e_b, e_p, e_p)
+    got = solve_epsilon(n_r, n_s, r, f, family, penalty)
+    assert got == bisect_epsilon(n_r, n_s, r, f, family, penalty)
+
+    def feasible(eps):
+        supply, demand, _ = seed_ledger(eps, n_r, n_s, r, f, family, penalty)
+        return supply >= demand
+
+    # floor(n_s) is the answer also when no reassignment balances the ledger
+    assert feasible(got) or got == math.floor(n_s)
+    assert got == 0 or not feasible(got - 1)
+
+
+def test_solve_epsilon_ledger_evaluations_are_bounded(monkeypatch):
+    """Four evaluations on a linear ledger, never more than twice bisection's count."""
+    calls = []
+    ledger = rates_module.seed_ledger
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return ledger(*args, **kwargs)
+
+    monkeypatch.setattr(rates_module, "seed_ledger", counting)
+    rng = np.random.default_rng(12)
+    families = list(HashFamily)
+    for i in range(600):
+        n_s = int(rng.integers(0, 10 ** int(rng.integers(1, 9))))
+        n_r = n_s + int(rng.integers(0, 10 ** int(rng.integers(0, 9))))
+        e_b = float(rng.uniform(0.0, 0.25))
+        e_p = float(rng.uniform(0.0, 0.5))
+        r = make_error_rates(e_b, e_b, e_p, e_p)
+        fam = families[i % len(families)]
+        penalty = None if i % 4 < 2 else 128.0
+        calls.clear()
+        solve_epsilon(n_r, n_s, r, float(rng.uniform(1.0, 1.5)), fam, penalty)
+        assert len(calls) <= 2 + 2 * math.ceil(math.log2(max(n_s, 1))), (i, calls)
+        if penalty is None and fam is not HashFamily.TREVISAN:
+            assert len(calls) <= 4, (i, calls)
+
+
 def test_solve_epsilon_rejects_bad_efficiency():
     r = make_error_rates(0.01, 0.01, 0.05, 0.05)
-    for f in (0.99, math.nan):
+    for f in (0.99, math.nan, math.inf):
         with pytest.raises(ParameterError):
             solve_epsilon(2000, 1000, r, f, HashFamily.TOEPLITZ)
 
