@@ -2,8 +2,9 @@
 
 A pulsed down-conversion source sits mid-link and emits ``n`` photon pairs
 per pump window with probability ``P(n) = (n+1) lam^n / (1+lam)^(n+2)``.
-Each arm carries half the channel loss; each receiver splits 50/50 between
-the two measurement bases and watches one threshold detector pair per basis.
+Each arm carries half the channel loss and ends in the same receiver, so one
+arm describes both sides; each receiver splits 50/50 between the two
+measurement bases and watches one threshold detector pair per basis.
 One truncated series over the pair number gives, per window, the
 probabilities of a coincidence, a usable window (one click on each side)
 and a correlated detection.  The analytic gain/error model sums it, and the
@@ -41,21 +42,20 @@ RANDOM_ERROR = 0.5
 
 @dataclass(frozen=True, slots=True)
 class ChannelDerived:
-    """Per-arm quantities derived from :class:`ProtocolParams`.
+    """Quantities of the symmetric link derived from :class:`ProtocolParams`.
 
-    eta_a/eta_b fold fiber transmittance and detector efficiency into a
-    single photon detection probability per arm; ``y0`` is the background
-    click probability per side per window and ``lam`` the mean pair number
-    of the half-window mode.
+    Both arms are alike: ``eta`` folds one arm's fiber transmittance and the
+    detector efficiency into a single photon detection probability; ``y0`` is
+    the background click probability per side per window and ``lam`` the mean
+    pair number of the half-window mode.
     """
 
-    eta_a: float
-    eta_b: float
+    eta: float
     y0: float
     lam: float
 
     def __post_init__(self):
-        for name in ("eta_a", "eta_b", "y0"):
+        for name in ("eta", "y0"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
@@ -77,10 +77,8 @@ def derive_channel(params: ProtocolParams) -> ChannelDerived:
     detection probability is that times the detector efficiency.
     """
     t_arm = 10.0 ** (-(params.channel_loss_db / 2.0) / 10.0)
-    eta = t_arm * params.detector_efficiency
     return ChannelDerived(
-        eta_a=eta,
-        eta_b=eta,
+        eta=t_arm * params.detector_efficiency,
         y0=params.dark_count_prob,
         lam=params.mean_pair_number / 2.0,
     )
@@ -112,10 +110,10 @@ def pair_number_tail(m: int, lam: float) -> float:
     return x**m * (m + 1.0 - m * x)
 
 
-def truncation_order(lam: float, tail_bound: float = TAIL_BOUND) -> int:
-    """Smallest N such that P(n > N) < tail_bound."""
+def truncation_order(lam: float) -> int:
+    """Smallest N such that P(n > N) < ``TAIL_BOUND``."""
     n = 0
-    while pair_number_tail(n + 1, lam) >= tail_bound:
+    while pair_number_tail(n + 1, lam) >= TAIL_BOUND:
         n += 1
     return n
 
@@ -123,23 +121,20 @@ def truncation_order(lam: float, tail_bound: float = TAIL_BOUND) -> int:
 def _window_series(ch: ChannelDerived) -> tuple[np.ndarray, ...]:
     """Terms of the per-window series over the pair number, truncated at ``TAIL_BOUND``.
 
-    Returns ``(pn, click_a, click_b, photon_a, photon_b, correlated)``: the
-    pair-number weights; per side, the probability of a click and of the
-    photon cluster registering; and the probability that the window is
+    Returns ``(pn, click, photon, correlated)``: the pair-number weights;
+    for either side (the arms are alike), the probability of a click and of
+    the photon cluster registering; and the probability that the window is
     correlated, i.e. a single pair whose photons both register while
     neither side sees a background.
     """
     n = np.arange(truncation_order(ch.lam) + 1)
     pn = pair_number_pmf(n, ch.lam)
-    miss_a = (1.0 - ch.eta_a) ** n
-    miss_b = (1.0 - ch.eta_b) ** n
+    miss = (1.0 - ch.eta) ** n
     # Threshold detector pair: clicks unless every photon is lost and no background fires.
-    click_a = 1.0 - (1.0 - ch.y0) * miss_a
-    click_b = 1.0 - (1.0 - ch.y0) * miss_b
-    photon_a = 1.0 - miss_a
-    photon_b = 1.0 - miss_b
-    correlated = (1.0 - ch.y0) ** 2 * photon_a * photon_b * (n == 1)
-    return pn, click_a, click_b, photon_a, photon_b, correlated
+    click = 1.0 - (1.0 - ch.y0) * miss
+    photon = 1.0 - miss
+    correlated = (1.0 - ch.y0) ** 2 * photon * photon * (n == 1)
+    return pn, click, photon, correlated
 
 
 def coincidence_gain_qber(ch: ChannelDerived, misalignment: float) -> GainQber:
@@ -153,8 +148,8 @@ def coincidence_gain_qber(ch: ChannelDerived, misalignment: float) -> GainQber:
     """
     if not 0.0 <= misalignment <= 1.0:
         raise ParameterError("misalignment must lie in [0, 1]")
-    pn, click_a, click_b, _, _, correlated = _window_series(ch)
-    both_click = click_a * click_b
+    pn, click, _, correlated = _window_series(ch)
+    both_click = click * click
     gain = float(np.dot(pn, both_click))
     err_gain = float(np.dot(pn, RANDOM_ERROR * both_click - (RANDOM_ERROR - misalignment) * correlated))
     if gain <= 0.0:
@@ -171,14 +166,10 @@ def coincidence_gain_qber_closed(ch: ChannelDerived, misalignment: float) -> Gai
     """
     if not 0.0 <= misalignment <= 1.0:
         raise ParameterError("misalignment must lie in [0, 1]")
-    lam, ya = ch.lam, 1.0 - ch.y0
-    gain = (
-        1.0
-        - ya / (1.0 + lam * ch.eta_a) ** 2
-        - ya / (1.0 + lam * ch.eta_b) ** 2
-        + ya**2 / (1.0 + lam * (ch.eta_a + ch.eta_b - ch.eta_a * ch.eta_b)) ** 2
-    )
-    correlated = ya**2 * ch.eta_a * ch.eta_b * pair_number_pmf(1, lam)
+    lam, ya, eta = ch.lam, 1.0 - ch.y0, ch.eta
+    silent = ya / (1.0 + lam * eta) ** 2  # P(a given side does not click)
+    gain = 1.0 - silent - silent + ya**2 / (1.0 + lam * (eta + eta - eta * eta)) ** 2
+    correlated = ya**2 * eta * eta * pair_number_pmf(1, lam)
     err_gain = RANDOM_ERROR * gain - (RANDOM_ERROR - misalignment) * correlated
     if gain <= 0.0:
         return GainQber(gain=0.0, qber=RANDOM_ERROR)
@@ -215,12 +206,11 @@ def sample_usable_windows(
     """
     if n_pulses < 0:
         raise ParameterError("n_pulses must be non-negative")
-    pn, click_a, click_b, photon_a, photon_b, correlated = _window_series(ch)
+    pn, click, photon, correlated = _window_series(ch)
     # a background that lands opposite the photon outcome (half of them) double-clicks
-    single_a = click_a - photon_a * (ch.y0 / 2.0)
-    single_b = click_b - photon_b * (ch.y0 / 2.0)
-    p_coinc = float(np.dot(pn, click_a * click_b))
-    p_usable = float(np.dot(pn, single_a * single_b))
+    single = click - photon * (ch.y0 / 2.0)
+    p_coinc = float(np.dot(pn, click * click))
+    p_usable = float(np.dot(pn, single * single))
     p_corr = float(np.dot(pn, correlated))
     # single clicks never exceed clicks term by term, so p_usable <= p_coinc <= 1
     n_usable, n_double, _ = rng.multinomial(

@@ -56,18 +56,25 @@ def _load_params(args: argparse.Namespace) -> ProtocolParams:
     return params.replace(**_coerce_fields(overrides)) if overrides else params
 
 
-def _parse_loss_range(text: str, parser: argparse.ArgumentParser) -> list[float]:
+def _parse_colon_floats(flag: str, form: str, text: str, parser: argparse.ArgumentParser) -> list[float]:
+    """The floats of a colon list shaped like ``form``, or a usage error naming ``flag``."""
     parts = text.split(":")
-    if len(parts) != 3:
-        parser.error(f"--loss expects start:end:step, got {text!r}")
+    if len(parts) != form.count(":") + 1:
+        parser.error(f"{flag} expects {form}, got {text!r}")
     try:
-        start, end, step = (float(p) for p in parts)
+        return [float(p) for p in parts]
     except ValueError:
-        parser.error(f"--loss expects numeric start:end:step, got {text!r}")
+        parser.error(f"{flag} expects numeric {form}, got {text!r}")
+
+
+def _parse_loss_range(text: str, parser: argparse.ArgumentParser) -> list[float]:
+    start, end, step = _parse_colon_floats("--loss", "start:end:step", text, parser)
     if not (0.0 <= start < end < math.inf and 0.0 < step < math.inf):
         parser.error("--loss requires finite start >= 0, step > 0, end > start")
-    count = int((end - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    span = (end - start) / step + 1e-9
+    if span == math.inf:
+        parser.error(f"--loss expects a finite number of points, got {text!r}")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _cmd_rate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -120,13 +127,7 @@ def _cmd_epsilon(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _cmd_optimize_mu(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     params = _load_params(args)
-    parts = args.mu_range.split(":")
-    if len(parts) != 2:
-        parser.error(f"--mu-range expects lo:hi, got {args.mu_range!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        parser.error(f"--mu-range expects numeric lo:hi, got {args.mu_range!r}")
+    lo, hi = _parse_colon_floats("--mu-range", "lo:hi", args.mu_range, parser)
     best = optimize_mu(params, (lo, hi))
     print(f"mu_opt={best.mu!r} rate_per_pulse={best.rate!r}")
     return 0
@@ -174,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -72,11 +72,7 @@ def optimize_mu(
     return MuOptimum(best_mu, best_rate)
 
 
-def sweep_loss(
-    params: ProtocolParams,
-    loss_points: Sequence[float],
-    mu_range: tuple[float, float] = (1e-4, 1.0),
-) -> list[RateBreakdown]:
+def sweep_loss(params: ProtocolParams, loss_points: Sequence[float]) -> list[RateBreakdown]:
     """Optimize the pump at each channel loss and evaluate the full breakdown.
 
     ``loss_points`` are total losses in dB, non-negative and strictly
@@ -92,6 +88,6 @@ def sweep_loss(
     out = []
     for loss in loss_points:
         at_loss = params.replace(channel_loss_db=float(loss))
-        best = optimize_mu(at_loss, mu_range)
+        best = optimize_mu(at_loss)
         out.append(rate_point(at_loss.replace(mean_pair_number=best.mu)))
     return out

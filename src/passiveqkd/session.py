@@ -151,6 +151,11 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     family and a length-accounting truncation for the other families (the
     report's ``"pa"`` field says which).
 
+    ``params.block_size`` and ``params.basis_reconciliation_factor`` are not
+    read: they shape the key-rate model of :func:`rates.rate_point` only.
+    The session samples ``n_pulses`` windows and sifts the usable windows
+    whose sampled bases match, which is half of them on average.
+
     Session statuses: "ok"; "no-key" when the certified key length is zero.
     """
     n_pulses = _whole_number("n_pulses", n_pulses, 1)

@@ -403,6 +403,8 @@ CSV_COLUMNS = (
     "e_b_tilde",
     "e_p_tilde",
 )
+#: The CSV columns not named after their RateBreakdown field.
+_CSV_FIELDS = {"mu_opt": "mu", "rate_passive": "rate_per_pulse_passive", "rate_bbm92": "rate_per_pulse_bbm92"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -470,17 +472,5 @@ class RateBreakdown:
         return cls(**kwargs)
 
     def csv_row(self) -> list[str]:
-        values = {
-            "loss_db": self.loss_db,
-            "mu_opt": self.mu,
-            "family": self.family.value,
-            "rate_passive": self.rate_per_pulse_passive,
-            "rate_bbm92": self.rate_per_pulse_bbm92,
-            "epsilon": self.epsilon,
-            "h_min_w": self.h_min_w,
-            "seed_demand": self.seed_demand,
-            "seed_supply": self.seed_supply,
-            "e_b_tilde": self.e_b_tilde,
-            "e_p_tilde": self.e_p_tilde,
-        }
-        return [values[c] if isinstance(values[c], str) else repr(values[c]) for c in CSV_COLUMNS]
+        cells = (getattr(self, _CSV_FIELDS.get(c, c)) for c in CSV_COLUMNS)
+        return [v.value if isinstance(v, HashFamily) else repr(v) for v in cells]

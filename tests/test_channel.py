@@ -24,8 +24,7 @@ REF = ProtocolParams()
 
 def test_derive_channel_splits_loss_between_arms():
     ch = derive_channel(REF.replace(channel_loss_db=20.0))
-    assert ch.eta_a == pytest.approx(0.1 * REF.detector_efficiency)
-    assert ch.eta_b == pytest.approx(0.1 * REF.detector_efficiency)
+    assert ch.eta == pytest.approx(0.1 * REF.detector_efficiency)
     assert ch.y0 == REF.dark_count_prob
     assert ch.lam == REF.mean_pair_number / 2.0
 
@@ -84,7 +83,7 @@ def test_qber_limits():
 def test_dead_channel_has_no_clicks():
     from passiveqkd import ChannelDerived
 
-    ch = ChannelDerived(eta_a=0.0, eta_b=0.0, y0=0.0, lam=0.05)
+    ch = ChannelDerived(eta=0.0, y0=0.0, lam=0.05)
     gq = coincidence_gain_qber(ch, 0.015)
     assert gq.gain == 0.0
     assert gq.qber == 0.5  # convention for an undefined ratio

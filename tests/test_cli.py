@@ -70,7 +70,8 @@ def test_rate_json_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["0:0:1", "10:5:1", "0:10:0", "0:10", "a:b:c", "-5:10:5", "nan:40:2", "0:inf:1"]
+    "bad",
+    ["0:0:1", "10:5:1", "0:10:0", "0:10", "a:b:c", "-5:10:5", "nan:40:2", "0:inf:1", "0:1e300:1e-300"],
 )
 def test_rate_bad_loss_range(bad):
     out = _run("rate", "--loss", bad)
@@ -335,6 +336,21 @@ def test_bad_count_or_rate_flag_is_an_error_line(flag, value, tmp_path, capsys):
         argv = ["simulate", "--pulses", "1000", "--out", str(tmp_path / "s"), flag, value]
     else:
         argv = [*EPSILON_ARGS, flag, value]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("bad", ["1:2:3", "a:b", "0.5"])
+def test_optimize_mu_bad_range_is_a_usage_error(bad, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["optimize-mu", "--mu-range", bad])
+    assert exit_info.value.code == 2
+    assert "--mu-range" in capsys.readouterr().err
+
+
+def test_simulate_unwritable_out_is_an_error_line(tmp_path, capsys):
+    argv = ["simulate", "--pulses", "1000", "--out", str(tmp_path / "missing" / "s")]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""

@@ -56,8 +56,8 @@ def sample_window_batch(
     n = rng.negative_binomial(2, 1.0 / (1.0 + ch.lam), size=size)
     a_basis = rng.integers(0, 2, size=size, dtype=np.uint8)
     b_basis = rng.integers(0, 2, size=size, dtype=np.uint8)
-    a_ph = rng.random(size) < 1.0 - (1.0 - ch.eta_a) ** n
-    b_ph = rng.random(size) < 1.0 - (1.0 - ch.eta_b) ** n
+    a_ph = rng.random(size) < 1.0 - (1.0 - ch.eta) ** n
+    b_ph = rng.random(size) < 1.0 - (1.0 - ch.eta) ** n
     a_bg = rng.random(size) < ch.y0
     b_bg = rng.random(size) < ch.y0
     a_bg_det = rng.integers(0, 2, size=size, dtype=np.uint8)
