@@ -36,6 +36,8 @@ _PARAMS_ENV = "PASSIVEQKD_PARAMS"
 # Every ProtocolParams field is set by a flag named after it.  Flag values stay
 # text until _coerce_fields parses them, as it parses a parameter file's values.
 _PARAM_NAMES = [f.name for f in dataclasses.fields(ProtocolParams)]
+# A sweep point costs milliseconds, so 10^5 points already take minutes.
+_MAX_LOSS_POINTS = 100_000
 _FAMILY_HELP = "seed hash family (f1r-f2r, f3r-f4r, toeplitz, trevisan, tssr, eps-almost-pairwise)"
 
 
@@ -56,31 +58,29 @@ def _load_params(args: argparse.Namespace) -> ProtocolParams:
     return params.replace(**_coerce_fields(overrides)) if overrides else params
 
 
-def _parse_colon_floats(flag: str, form: str, text: str, parser: argparse.ArgumentParser) -> list[float]:
-    """The floats of a colon list shaped like ``form``, or a usage error naming ``flag``."""
+def _colon_floats(form: str, text: str) -> list[float]:
+    """The floats of a colon list shaped like ``form``; argparse names the flag on error."""
     parts = text.split(":")
     if len(parts) != form.count(":") + 1:
-        parser.error(f"{flag} expects {form}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}")
     try:
         return [float(p) for p in parts]
     except ValueError:
-        parser.error(f"{flag} expects numeric {form}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects numeric {form}, got {text!r}") from None
 
 
-def _parse_loss_range(text: str, parser: argparse.ArgumentParser) -> list[float]:
-    start, end, step = _parse_colon_floats("--loss", "start:end:step", text, parser)
+def _loss_points(text: str) -> list[float]:
+    start, end, step = _colon_floats("start:end:step", text)
     if not (0.0 <= start < end < math.inf and 0.0 < step < math.inf):
-        parser.error("--loss requires finite start >= 0, step > 0, end > start")
+        raise argparse.ArgumentTypeError("requires finite start >= 0, step > 0, end > start")
     span = (end - start) / step + 1e-9
-    if span == math.inf:
-        parser.error(f"--loss expects a finite number of points, got {text!r}")
+    if not span < _MAX_LOSS_POINTS:
+        raise argparse.ArgumentTypeError(f"expects at most {_MAX_LOSS_POINTS} points, got {text!r}")
     return [start + i * step for i in range(int(span) + 1)]
 
 
-def _cmd_rate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    params = _load_params(args)
-    loss_points = _parse_loss_range(args.loss, parser)
-    rows = sweep_loss(params, loss_points)
+def _cmd_rate(args: argparse.Namespace) -> int:
+    rows = sweep_loss(_load_params(args), args.loss)
     if args.json:
         json.dump([r.to_json_dict() for r in rows], sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -92,7 +92,7 @@ def _cmd_rate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _load_params(args)
     result = run_session(params, _parse_int("pulses", args.pulses), _parse_int("seed", args.seed))
     report_path = Path(f"{args.out}.report.json")
@@ -106,11 +106,9 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0 if len(result.k_final) > 0 else 3
 
 
-def _cmd_epsilon(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_epsilon(args: argparse.Namespace) -> int:
     n_r, n_s = _parse_int("n_r", args.n_r), _parse_int("n_s", args.n_s)
     e_b, e_p, f = (_parse_float(n, getattr(args, n)) for n in ("e_b_tilde", "e_p_tilde", "ec_efficiency"))
-    if n_s > n_r:
-        raise ParameterError("n_s cannot exceed n_r")
     rates = make_error_rates(e_b, e_b, e_p, e_p)
     families = (
         [HashFamily.parse(args.hash_family)] if args.hash_family is not None else list(HashFamily)
@@ -125,10 +123,8 @@ def _cmd_epsilon(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_optimize_mu(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    params = _load_params(args)
-    lo, hi = _parse_colon_floats("--mu-range", "lo:hi", args.mu_range, parser)
-    best = optimize_mu(params, (lo, hi))
+def _cmd_optimize_mu(args: argparse.Namespace) -> int:
+    best = optimize_mu(_load_params(args), tuple(args.mu_range))
     print(f"mu_opt={best.mu!r} rate_per_pulse={best.rate!r}")
     return 0
 
@@ -143,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rate = subs.add_parser("rate", help="loss sweep with per-point pump optimization")
     _add_param_flags(p_rate)
-    p_rate.add_argument("--loss", default="0:40:2", metavar="S:E:T", help="loss sweep in dB, start:end:step inclusive")
+    p_rate.add_argument("--loss", default="0:40:2", type=_loss_points, metavar="S:E:T", help="loss sweep in dB, start:end:step inclusive")
     p_rate.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
     p_rate.set_defaults(handler=_cmd_rate)
 
@@ -165,16 +161,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = subs.add_parser("optimize-mu", help="best mean pair number at the configured loss")
     _add_param_flags(p_opt)
-    p_opt.add_argument("--mu-range", default="1e-4:1", metavar="LO:HI")
+    p_opt.add_argument("--mu-range", default="1e-4:1", type=functools.partial(_colon_floats, "lo:hi"), metavar="LO:HI")
     p_opt.set_defaults(handler=_cmd_optimize_mu)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .rates import rate_point
-from .types import ParameterError, ProtocolParams, RateBreakdown
+from .types import MAX_MEAN_PAIR_NUMBER, ParameterError, ProtocolParams, RateBreakdown
 
 __all__ = ["MuOptimum", "optimize_mu", "sweep_loss"]
 
@@ -40,7 +40,7 @@ def optimize_mu(
     range produces a key.
     """
     lo, hi = mu_range
-    if not (0.0 < lo <= hi <= 2.0):
+    if not (0.0 < lo <= hi <= MAX_MEAN_PAIR_NUMBER):
         raise ParameterError("mu_range must satisfy 0 < lo <= hi <= 2")
     if lo == hi:
         return MuOptimum(lo, max(0.0, _rate_at(params, lo)))

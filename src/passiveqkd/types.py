@@ -219,12 +219,12 @@ class ProtocolParams:
         _check_unit("basis_reconciliation_factor", self.basis_reconciliation_factor)
         if self.ec_efficiency < 1.0:
             raise ParameterError("ec_efficiency below 1 would beat the Shannon limit")
-        if self.mean_pair_number <= 0.0:
-            raise ParameterError("mean_pair_number must be positive")
+        if not 0.0 < self.mean_pair_number <= MAX_MEAN_PAIR_NUMBER:
+            raise ParameterError(f"mean_pair_number must lie in (0, {MAX_MEAN_PAIR_NUMBER}]")
         if not 0.0 < self.phase_est_failure_prob < 1.0:
             raise ParameterError("phase_est_failure_prob must lie in (0, 1)")
-        if not 0.0 < self.extractor_failure_prob < 1.0:
-            raise ParameterError("extractor_failure_prob must lie in (0, 1)")
+        if not (0.0 < self.extractor_failure_prob < 1.0 and 1.0 / self.extractor_failure_prob < math.inf):
+            raise ParameterError("extractor_failure_prob must lie in (0, 1), its reciprocal finite")
         size = self.block_size
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise ParameterError(f"block_size must be an integer >= 1, got {size!r}")
@@ -278,6 +278,8 @@ class ProtocolParams:
 
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ProtocolParams)}
 _FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind is float)
+#: Largest pump accepted; the channel series overflows above a mean pair number of about 19.
+MAX_MEAN_PAIR_NUMBER = 2.0
 
 
 def _coerce_fields(data: dict) -> dict:

@@ -71,11 +71,15 @@ def test_rate_json_roundtrip():
 
 @pytest.mark.parametrize(
     "bad",
-    ["0:0:1", "10:5:1", "0:10:0", "0:10", "a:b:c", "-5:10:5", "nan:40:2", "0:inf:1", "0:1e300:1e-300"],
+    [
+        "0:0:1", "10:5:1", "0:10:0", "0:10", "a:b:c", "-5:10:5", "nan:40:2", "0:inf:1", "0:1e300:1e-300",
+        "0:1e12:1",
+    ],
 )
 def test_rate_bad_loss_range(bad):
     out = _run("rate", "--loss", bad)
     assert out.returncode == 2
+    assert out.stderr.startswith("usage: passiveqkd rate")
     assert "loss" in out.stderr.lower()
 
 
@@ -329,7 +333,8 @@ def test_count_flags_take_parameter_number_syntax(tmp_path, capsys):
     "flag, value",
     [("--n-r", "1.5"), ("--n-s", "x"), ("--n-r", "inf"), ("--e-b-tilde", "nan"),
      ("--e-p-tilde", "inf"), ("--ec-efficiency", "inf"), ("--ec-efficiency", "nan"),
-     ("--ec-efficiency", "0.5"), ("--pulses", "1.5"), ("--pulses", "many"), ("--seed", "nan")],
+     ("--ec-efficiency", "0.5"), ("--pulses", "1.5"), ("--pulses", "many"), ("--seed", "nan"),
+     ("--n-s", "3000")],
 )
 def test_bad_count_or_rate_flag_is_an_error_line(flag, value, tmp_path, capsys):
     if flag in ("--pulses", "--seed"):
@@ -346,7 +351,9 @@ def test_optimize_mu_bad_range_is_a_usage_error(bad, capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["optimize-mu", "--mu-range", bad])
     assert exit_info.value.code == 2
-    assert "--mu-range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: passiveqkd optimize-mu")
+    assert "--mu-range" in err
 
 
 def test_simulate_unwritable_out_is_an_error_line(tmp_path, capsys):

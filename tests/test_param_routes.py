@@ -20,6 +20,8 @@ CASES = [
     ("block_size", True, "true", "true", ParameterError),
     ("block_size", "abc", '"abc"', "abc", ParameterError),
     ("mean_pair_number", True, "true", "true", ParameterError),
+    ("mean_pair_number", 50.0, "50", "50", ParameterError),
+    ("extractor_failure_prob", 5e-324, "5e-324", "5e-324", ParameterError),
     ("hash_family", "f3r", '"f3r"', "f3r", HashFamily.F3R_F4R),
     ("hash_family", "md5", '"md5"', "md5", ParameterError),
 ]

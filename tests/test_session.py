@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passiveqkd import (
     BitString,
@@ -218,3 +220,33 @@ def test_session_key_tracks_rate_point_below_bbm92(loss):
         r = run_session(params, n_pulses, seed)
         assert abs(r.n_f - rp.n_f_passive) <= 0.05 * rp.n_f_passive, (seed, r.n_f, rp.n_f_passive)
         assert r.n_f < rp.n_f_bbm92
+
+
+_UNIT = st.floats(0.0, 1.0)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    fields=st.fixed_dictionaries({
+        "dark_count_prob": _UNIT,
+        "detector_efficiency": _UNIT,
+        "misalignment_error": _UNIT,
+        "ec_efficiency": st.floats(1.0, allow_infinity=False),
+        "mean_pair_number": st.floats(1e-6, 100.0),
+        "basis_reconciliation_factor": _UNIT,
+        "phase_est_failure_prob": _OPEN_UNIT,
+        "extractor_failure_prob": _OPEN_UNIT,
+        "channel_loss_db": st.floats(0.0, 60.0),
+        "hash_family": st.sampled_from(HashFamily),
+    }),
+    n_pulses=st.integers(1, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_session_on_any_parameters_is_refused_or_balances(fields, n_pulses, seed):
+    try:
+        result = run_session(ProtocolParams(**fields), n_pulses, seed)
+    except ParameterError:
+        return
+    assert result.tally.n_r + result.tally.n_double_click <= n_pulses
+    assert len(result.k_final) == result.n_f
