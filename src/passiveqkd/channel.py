@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ParameterError, ProtocolParams
+from .types import MAX_MEAN_PAIR_NUMBER, ParameterError, ProtocolParams
 
 __all__ = [
     "ChannelDerived",
@@ -59,8 +59,9 @@ class ChannelDerived:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-        if self.lam <= 0.0:
-            raise ParameterError("lam must be positive")
+        # derive_channel halves the pump, so this admits every ProtocolParams
+        if not 0.0 < self.lam <= MAX_MEAN_PAIR_NUMBER / 2.0:
+            raise ParameterError(f"lam must lie in (0, {MAX_MEAN_PAIR_NUMBER / 2.0}]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,6 @@ from .channel import derive_channel, sample_usable_windows
 from .rates import (
     binary_entropy,
     certified_rates,
-    min_entropy_mismatched_aggregate,
     seed_ledger,
     solve_epsilon,
 )
@@ -166,17 +165,19 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     )
 
     matched = a_basis == b_basis
-    sift_a, sift_b, sift_basis = a_bit[matched], b_bit[matched], a_basis[matched]
-    pool_bits = a_bit[~matched]
+    sift_a, sift_b, pool_bits = a_bit[matched], b_bit[matched], a_bit[~matched]
+    # only published strings are copied; a mask count costs ~2% of a selection
+    in_x = a_basis == 0
+    errs = matched & (a_bit != b_bit)
     n_s = int(sift_a.size)
-    m_x = int((a_basis[~matched] == 0).sum())
-    m_z = int(pool_bits.size - m_x)
-    in_x = sift_basis == 0
-    n_s_x = int(in_x.sum())
+    n_s_x = int(np.count_nonzero(matched & in_x))
     n_s_z = n_s - n_s_x
-    errs = sift_a != sift_b
-    e_bx = float(errs[in_x].sum() / n_s_x) if n_s_x else 0.0
-    e_bz = float(errs[~in_x].sum() / n_s_z) if n_s_z else 0.0
+    m_x = int(np.count_nonzero(in_x)) - n_s_x
+    m_z = int(pool_bits.size) - m_x
+    errs_x = int(np.count_nonzero(errs & in_x))
+    errs_z = int(np.count_nonzero(errs)) - errs_x
+    e_bx = errs_x / n_s_x if n_s_x else 0.0
+    e_bz = errs_z / n_s_z if n_s_z else 0.0
     rates = certified_rates(e_bx, e_bz, n_s_x, n_s_z, params.phase_est_failure_prob)
     tally = SessionTally(
         n_r=n_s + m_x + m_z,
@@ -205,13 +206,10 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     kec = k_sift_a  # error correction modeled: Bob's corrected key equals Alice's
     kec_short = kec[: n_s - epsilon]
     w_enlarged = w_pool + kec[n_s - epsilon :]
-    h_min_w = min_entropy_mismatched_aggregate(tally.n_r, n_s - epsilon, rates.e_p_tilde)
     if n_out >= 1:
         private_rng = np.random.default_rng([rng_seed, _PRIVATE_STREAM])
         private_seed = BitString.random(len(w_enlarged) + n_out - 1, private_rng)
-        w_star = extract_local_randomness(
-            w_enlarged, h_min_w, private_seed, params.extractor_failure_prob
-        )
+        w_star = extract_local_randomness(w_enlarged, n_out, private_seed)
     else:
         w_star = BitString.zeros(0)
 

@@ -115,25 +115,19 @@ def leftover_hash_penalty(eps_ext: float) -> float:
     return 2.0 * math.log2(1.0 / eps_ext)
 
 
-def extract_local_randomness(
-    w_pool: BitString, h_min_bits: float, private_seed: BitString, eps_ext: float
-) -> BitString:
-    """Condense a certified pool into nearly uniform bits via Toeplitz hashing.
+def extract_local_randomness(w_pool: BitString, n_out: int, private_seed: BitString) -> BitString:
+    """Condense a certified pool into ``n_out`` nearly uniform bits via Toeplitz hashing.
 
-    The output length is ``floor(h_min_bits - 2 log2(1/eps_ext))`` (see
-    :func:`leftover_hash_penalty`), never more than the pool itself.  The
-    private seed is pre-shared, stays off the public channel, and is
-    therefore reusable across sessions.
+    The caller sizes ``n_out``: a session takes it from the seed ledger,
+    which charges the leftover-hash cost (see :func:`leftover_hash_penalty`)
+    against the pool's certified min-entropy.  The private seed is
+    pre-shared, stays off the public channel, and is therefore reusable
+    across sessions.
 
-    :raises ParameterError: if the private seed does not hold exactly
-        ``len(w_pool) + n_out - 1`` bits for the resulting ``n_out``.
+    :raises ParameterError: if ``n_out`` exceeds the pool, or the private
+        seed does not hold exactly ``len(w_pool) + n_out - 1`` bits.
     """
-    if not 0.0 < eps_ext < 1.0:
-        raise ParameterError("eps_ext must lie in (0, 1)")
-    if h_min_bits > len(w_pool):
-        raise ParameterError("certified entropy cannot exceed the pool length")
-    n_out = math.floor(h_min_bits - leftover_hash_penalty(eps_ext))
-    if n_out <= 0 or len(w_pool) == 0:
+    if n_out <= 0:
         return BitString.zeros(0)
     spec = ToeplitzSpec(n_in=len(w_pool), n_out=n_out, seed=private_seed)
     return toeplitz_hash(spec, w_pool)

@@ -219,7 +219,8 @@ class ProtocolParams:
         _check_unit("basis_reconciliation_factor", self.basis_reconciliation_factor)
         if self.ec_efficiency < 1.0:
             raise ParameterError("ec_efficiency below 1 would beat the Shannon limit")
-        if not 0.0 < self.mean_pair_number <= MAX_MEAN_PAIR_NUMBER:
+        # the channel runs on half the pump, which a subnormal pump rounds to zero
+        if not 0.0 < self.mean_pair_number / 2.0 <= MAX_MEAN_PAIR_NUMBER / 2.0:
             raise ParameterError(f"mean_pair_number must lie in (0, {MAX_MEAN_PAIR_NUMBER}]")
         if not 0.0 < self.phase_est_failure_prob < 1.0:
             raise ParameterError("phase_est_failure_prob must lie in (0, 1)")

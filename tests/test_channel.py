@@ -92,6 +92,17 @@ def test_dead_channel_has_no_clicks():
     assert n_double == 0
 
 
+def test_channel_derived_bounds_lam():
+    """The series overflows far above the largest pump; the bound is that pump, halved."""
+    from passiveqkd import ChannelDerived
+
+    with pytest.raises(ParameterError):
+        ChannelDerived(eta=0.4, y0=1e-6, lam=25.0)
+    top = ChannelDerived(eta=0.4, y0=1e-6, lam=1.0)
+    assert top == derive_channel(REF.replace(mean_pair_number=2.0))
+    assert math.isfinite(coincidence_gain_qber(top, 0.015).gain)
+
+
 def test_sampler_is_deterministic():
     ch = derive_channel(REF.replace(channel_loss_db=10.0))
     a = sample_usable_windows(ch, 0.015, np.random.default_rng(42), 50_000)

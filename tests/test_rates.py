@@ -17,6 +17,7 @@ from passiveqkd import (
     binary_entropy,
     certified_rates,
     key_length_basis,
+    leftover_hash_penalty,
     make_error_rates,
     min_entropy_error_corrected,
     min_entropy_mismatched_aggregate,
@@ -149,6 +150,17 @@ def test_reassignment_demand_empty_key_rule():
     assert reassignment_demand(HashFamily.TREVISAN, 500, 0.0) == 0.0
     assert reassignment_demand(HashFamily.TOEPLITZ, 500, 0.0) == 500.0
     assert reassignment_demand(HashFamily.F1R_F2R, 500, 100.0) == 400.0
+
+
+def test_seed_ledger_pays_the_leftover_hash_penalty():
+    """A session's seed is the pool's min-entropy less ``2 log2(1/eps_ext)``, floored at zero."""
+    penalty = leftover_hash_penalty(2.0**-64)
+    r = make_error_rates(0.01, 0.01, 0.0, 0.0)
+    fam = HashFamily.TOEPLITZ
+    assert seed_ledger(0, 2128, 1000, r, 1.1, fam)[0] == 1128.0
+    assert seed_ledger(0, 2128, 1000, r, 1.1, fam, penalty)[0] == 1128 - 128
+    # entropy too small to survive the penalty leaves no seed, not a debt
+    assert seed_ledger(0, 1010, 1000, r, 1.1, fam, penalty)[0] == 0
 
 
 def test_solve_epsilon_frozen_examples():
@@ -353,3 +365,49 @@ def test_rate_point_flags():
     assert high_noise.status == "no-key"
     assert high_noise.n_f_passive == 0
     assert high_noise.rate_per_pulse_passive == 0.0
+
+
+@pytest.mark.parametrize("family, epsilon", [(HashFamily.TOEPLITZ, 500_000), (HashFamily.F3R_F4R, 0)])
+def test_rate_point_dead_channel_has_no_gain(family, epsilon):
+    """Toeplitz pays the whole key into its seed; a key-sized demand is waived at zero key."""
+    b = rate_point(ProtocolParams(detector_efficiency=0.0, dark_count_prob=0.0, hash_family=family))
+    assert b.status == "no-gain"
+    assert b.q_gain == 0.0 and b.e_qber == 0.5
+    assert b.rate_per_pulse_passive == 0.0 and b.rate_per_pulse_bbm92 == 0.0
+    assert b.epsilon == epsilon
+
+
+_UNIT = st.floats(0.0, 1.0)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+# Each field is drawn from its whole domain; one_of leans some draws toward
+# values where a key can still come out, so the supply/demand check runs.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    fields=st.fixed_dictionaries({
+        "dark_count_prob": st.one_of(st.floats(0.0, 1e-4), _UNIT),
+        "detector_efficiency": st.one_of(st.floats(0.3, 1.0), _UNIT),
+        "misalignment_error": st.one_of(st.floats(0.0, 0.05), _UNIT),
+        "ec_efficiency": st.one_of(st.floats(1.0, 1.5), st.floats(1.0, allow_infinity=False)),
+        "mean_pair_number": st.one_of(st.floats(0.01, 0.2), st.floats(0.0, 2.0, exclude_min=True)),
+        "basis_reconciliation_factor": st.one_of(st.floats(0.3, 0.7), _UNIT),
+        "phase_est_failure_prob": _OPEN_UNIT,
+        "block_size": st.one_of(st.integers(10**4, 10**9), st.integers(min_value=1)),
+        "hash_family": st.sampled_from(HashFamily),
+        "extractor_failure_prob": _OPEN_UNIT,
+        "channel_loss_db": st.one_of(st.floats(0.0, 40.0), st.floats(0.0, allow_infinity=False)),
+    })
+)
+def test_rate_point_on_any_parameters_is_finite_and_below_bbm92(fields):
+    try:
+        params = ProtocolParams(**fields)
+    except ParameterError:
+        return
+    b = rate_point(params)
+    for name, value in b.to_json_dict().items():
+        if isinstance(value, float):
+            assert math.isfinite(value), name
+    assert b.n_f_passive <= b.n_f_bbm92
+    if b.n_f_passive > 0:
+        assert b.seed_supply >= b.seed_demand

@@ -12,11 +12,13 @@ from passiveqkd import (
     HashFamily,
     ParameterError,
     ProtocolParams,
+    leftover_hash_penalty,
     optimize_mu,
     passive_final_key_length,
     rate_point,
     reassignment_demand,
     run_session,
+    seed_ledger,
     solve_epsilon,
 )
 
@@ -91,6 +93,12 @@ def test_run_session_produces_key():
         BENCH.hash_family, r.tally.n_s - r.epsilon, r.n_f
     )
     assert len(r.w_star) >= demand
+    # the extractor emits exactly the ledger's penalized supply
+    supply, _, _ = seed_ledger(
+        r.epsilon, r.tally.n_r, r.tally.n_s, r.rates, BENCH.ec_efficiency, BENCH.hash_family,
+        leftover_hash_penalty(BENCH.extractor_failure_prob),
+    )
+    assert len(r.w_star) == supply
     # penalized in-session solve never undercuts the idealized one (same budget rule)
     nominal = solve_epsilon(
         r.tally.n_r, r.tally.n_s, r.rates, BENCH.ec_efficiency, BENCH.hash_family

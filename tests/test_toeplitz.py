@@ -175,43 +175,34 @@ def test_modified_toeplitz_seed_length():
 def test_extract_empty_cases():
     rng = np.random.default_rng(9)
     pool = BitString.random(64, rng)
-    out = extract_local_randomness(pool, 0.0, BitString.zeros(0), 2.0**-64)
-    assert len(out) == 0
-    # entropy too small to survive the leftover-hash penalty
-    out = extract_local_randomness(pool, 10.0, BitString.zeros(0), 2.0**-64)
-    assert len(out) == 0
+    assert len(extract_local_randomness(pool, 0, BitString.zeros(0))) == 0
+    assert len(extract_local_randomness(pool, -3, BitString.zeros(0))) == 0
 
 
 def test_extract_output_length():
     rng = np.random.default_rng(10)
     pool = BitString.random(2000, rng)
-    n_out = 1128 - 128  # h_min minus twice the 64-bit failure exponent
-    seed = BitString.random(len(pool) + n_out - 1, rng)
-    out = extract_local_randomness(pool, 1128.0, seed, 2.0**-64)
-    assert len(out) == 1000
+    seed = BitString.random(len(pool) + 1000 - 1, rng)
+    assert len(extract_local_randomness(pool, 1000, seed)) == 1000
 
 
 def test_extract_validation():
     rng = np.random.default_rng(11)
     pool = BitString.random(100, rng)
     with pytest.raises(ParameterError):
-        extract_local_randomness(pool, 101.0, BitString.zeros(0), 2.0**-64)
-    with pytest.raises(ParameterError):
-        extract_local_randomness(pool, 50.0, BitString.zeros(0), 1.5)
-    big = BitString.random(300, rng)
+        extract_local_randomness(pool, 101, BitString.random(200, rng))
     with pytest.raises(ParameterError):
         # n_out = 72, so the seed must hold 300 + 72 - 1 bits
-        extract_local_randomness(big, 200.0, BitString.zeros(3), 2.0**-64)
+        extract_local_randomness(BitString.random(300, rng), 72, BitString.zeros(3))
 
 
 def test_extract_deterministic():
     rng = np.random.default_rng(12)
     pool = BitString.random(512, rng)
-    n_out = 256 - 128
-    seed = BitString.random(512 + n_out - 1, rng)
-    a = extract_local_randomness(pool, 256.0, seed, 2.0**-64)
-    b = extract_local_randomness(pool, 256.0, seed, 2.0**-64)
-    assert a == b and len(a) == n_out
+    seed = BitString.random(512 + 128 - 1, rng)
+    a = extract_local_randomness(pool, 128, seed)
+    b = extract_local_randomness(pool, 128, seed)
+    assert a == b and len(a) == 128
 
 
 def test_extract_statistical_sanity():
@@ -222,7 +213,7 @@ def test_extract_statistical_sanity():
     for _ in range(200):
         pool = BitString.random(256, rng)
         seed = BitString.random(256 + 64 - 1, rng)
-        out = extract_local_randomness(pool, 192.0, seed, 2.0**-64)
+        out = extract_local_randomness(pool, 64, seed)
         assert len(out) == 64
         ones += int(out.to_numpy().sum())
         total += len(out)
