@@ -125,7 +125,7 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
 
 def _cmd_optimize_mu(args: argparse.Namespace) -> int:
     best = optimize_mu(_load_params(args), tuple(args.mu_range))
-    print(f"mu_opt={best.mu!r} rate_per_pulse={best.rate!r}")
+    print(f"mu_opt={best.mu!r} rate_per_pulse={best.rate_per_pulse_passive!r}")
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .channel import coincidence_gain_qber, derive_channel
-from .types import ErrorRates, HashFamily, ParameterError, ProtocolParams, RateBreakdown, make_error_rates
+from .types import MAX_COUNT, ErrorRates, HashFamily, ParameterError, ProtocolParams, RateBreakdown, make_error_rates
 
 __all__ = [
     "binary_entropy",
@@ -211,6 +211,8 @@ def solve_epsilon(
     """
     if n_s < 0 or n_s > n_r:
         raise ParameterError("need 0 <= n_s <= n_r")
+    if n_r > MAX_COUNT:
+        raise ParameterError(f"n_r must be at most {MAX_COUNT}")
     if not 1.0 <= f < math.inf:
         raise ParameterError("f must be finite and at least 1")
 

@@ -30,6 +30,7 @@ from .rates import (
 )
 from .toeplitz import extract_local_randomness, leftover_hash_penalty, modified_toeplitz_hash
 from .types import (
+    MAX_COUNT,
     BitString,
     ErrorRates,
     HashFamily,
@@ -158,6 +159,8 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     Session statuses: "ok"; "no-key" when the certified key length is zero.
     """
     n_pulses = _whole_number("n_pulses", n_pulses, 1)
+    if n_pulses > MAX_COUNT:
+        raise ParameterError(f"n_pulses must be at most {MAX_COUNT}")
     rng_seed = _whole_number("rng_seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)
     a_basis, b_basis, a_bit, b_bit, n_double = sample_usable_windows(

@@ -227,8 +227,8 @@ class ProtocolParams:
         if not (0.0 < self.extractor_failure_prob < 1.0 and 1.0 / self.extractor_failure_prob < math.inf):
             raise ParameterError("extractor_failure_prob must lie in (0, 1), its reciprocal finite")
         size = self.block_size
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ParameterError(f"block_size must be an integer >= 1, got {size!r}")
+        if isinstance(size, bool) or not isinstance(size, int) or not 1 <= size <= MAX_COUNT:
+            raise ParameterError(f"block_size must be an integer in [1, {MAX_COUNT}], got {size!r}")
         if self.channel_loss_db < 0.0:
             raise ParameterError("channel_loss_db must be non-negative")
         if not isinstance(self.hash_family, HashFamily):
@@ -281,6 +281,9 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ProtocolPara
 _FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind is float)
 #: Largest pump accepted; the channel series overflows above a mean pair number of about 19.
 MAX_MEAN_PAIR_NUMBER = 2.0
+#: Largest block size, detection count ``n_r`` or pulse count accepted: exact as a
+#: float and within numpy's int64, so no count overflows a conversion.
+MAX_COUNT = 2**62
 
 
 def _coerce_fields(data: dict) -> dict:

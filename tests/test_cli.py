@@ -334,7 +334,7 @@ def test_count_flags_take_parameter_number_syntax(tmp_path, capsys):
     [("--n-r", "1.5"), ("--n-s", "x"), ("--n-r", "inf"), ("--e-b-tilde", "nan"),
      ("--e-p-tilde", "inf"), ("--ec-efficiency", "inf"), ("--ec-efficiency", "nan"),
      ("--ec-efficiency", "0.5"), ("--pulses", "1.5"), ("--pulses", "many"), ("--seed", "nan"),
-     ("--n-s", "3000")],
+     ("--n-s", "3000"), pytest.param("--n-r", "1" + "0" * 400, id="--n-r-401-chars"), ("--pulses", "10000000000000000000")],
 )
 def test_bad_count_or_rate_flag_is_an_error_line(flag, value, tmp_path, capsys):
     if flag in ("--pulses", "--seed"):

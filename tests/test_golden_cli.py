@@ -1,4 +1,4 @@
-"""Golden CLI outputs: ``rate`` CSV/JSON, ``epsilon`` tables and ``simulate`` sessions.
+"""Golden CLI outputs of ``rate`` (CSV/JSON), ``epsilon``, ``optimize-mu`` and ``simulate``.
 
 Each case runs ``cli.main`` in-process and compares stdout with a file
 captured from a known-good build; a session case also compares its exit
@@ -39,6 +39,17 @@ EPSILON_CASES = {
     "one-bit-pool": ["--n-r", "300", "--n-s", "299", "--e-p-tilde", "0.3", "--e-b-tilde", "0.01"],
 }
 
+# name -> extra argv after "optimize-mu"; "dead" is a channel with no key at any
+# pump in range, "singleton" a range of one pump.
+OPTIMIZE_MU_CASES = {
+    "default": [],
+    "10db": ["--channel-loss-db", "10"],
+    "dead": ["--channel-loss-db", "120"],
+    "singleton": ["--mu-range", "0.1:0.1"],
+    "narrow-20db": ["--mu-range", "0.01:0.1", "--channel-loss-db", "20"],
+    "f3r-f4r-35db": ["--family", "f3r", "--channel-loss-db", "35"],
+}
+
 # name -> (extra argv after "simulate", exit code).  Small sessions: a
 # lossless Toeplitz key, the same block under an accounting-only family, and
 # a noisy block with double clicks whose penalized solve leaves no key.
@@ -72,6 +83,8 @@ def _cases():
         ))
     for name, extra in EPSILON_CASES.items():
         out.append((["epsilon", *extra], GOLDEN / f"epsilon_{name}.txt"))
+    for name, extra in OPTIMIZE_MU_CASES.items():
+        out.append((["optimize-mu", *extra], GOLDEN / f"optimize-mu_{name}.txt"))
     return out
 
 

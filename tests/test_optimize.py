@@ -18,9 +18,10 @@ REF = ProtocolParams()
 def test_optimize_mu_singleton_range():
     opt = optimize_mu(REF, (0.1, 0.1))
     assert opt.mu == 0.1
-    assert opt.rate == pytest.approx(
+    assert opt.rate_per_pulse_passive == pytest.approx(
         rate_point(REF.replace(mean_pair_number=0.1)).rate_per_pulse_passive
     )
+    assert opt == rate_point(REF.replace(mean_pair_number=opt.mu))
 
 
 @pytest.mark.parametrize("bad", [(0.0, 0.5), (-0.1, 0.5), (0.5, 0.1), (0.1, 2.5)])
@@ -31,8 +32,9 @@ def test_optimize_mu_range_validation(bad):
 
 def test_optimize_mu_dead_channel_reports_zero():
     opt = optimize_mu(REF.replace(channel_loss_db=120.0), (1e-4, 1.0))
-    assert opt.rate == 0.0
+    assert opt.rate_per_pulse_passive == 0.0
     assert opt.mu == 1.0  # reported at the top of the searched range
+    assert opt == rate_point(REF.replace(channel_loss_db=120.0, mean_pair_number=opt.mu))
 
 
 def test_optimize_mu_beats_dense_grid():
@@ -44,16 +46,17 @@ def test_optimize_mu_beats_dense_grid():
         for m in grid
     ]
     best = max(dense)
-    assert opt.rate >= best * (1.0 - 1e-3)
-    assert opt.rate > 0.0
+    assert opt.rate_per_pulse_passive >= best * (1.0 - 1e-3)
+    assert opt.rate_per_pulse_passive > 0.0
 
 
 def test_optimize_mu_result_is_a_true_rate():
     params = REF.replace(channel_loss_db=10.0)
     opt = optimize_mu(params)
-    assert opt.rate == pytest.approx(
+    assert opt.rate_per_pulse_passive == pytest.approx(
         rate_point(params.replace(mean_pair_number=opt.mu)).rate_per_pulse_passive
     )
+    assert opt == rate_point(params.replace(mean_pair_number=opt.mu))
 
 
 def test_optimal_mu_shrinks_with_loss():
@@ -89,3 +92,4 @@ def test_sweep_loss_is_pointwise():
     whole = sweep_loss(REF, [0.0, 12.0, 24.0])
     parts = sweep_loss(REF, [0.0]) + sweep_loss(REF, [12.0, 24.0])
     assert whole == parts
+    assert whole == [optimize_mu(REF.replace(channel_loss_db=loss)) for loss in [0.0, 12.0, 24.0]]

@@ -16,6 +16,9 @@ CASES = [
     ("block_size", 10**6, "1e6", "1e6", 10**6),
     ("block_size", 10**6, "1000000.0", "1000000.0", 10**6),
     ("block_size", 9007199254740993, "9007199254740993", "9007199254740993", 9007199254740993),
+    ("block_size", 2**62, str(2**62), str(2**62), 2**62),
+    ("block_size", 2**62 + 1, str(2**62 + 1), str(2**62 + 1), ParameterError),
+    ("block_size", 10**400, "1" + "0" * 400, "1" + "0" * 400, ParameterError),
     ("block_size", 1.5, "1.5", "1.5", ParameterError),
     ("block_size", True, "true", "true", ParameterError),
     ("block_size", "abc", '"abc"', "abc", ParameterError),
@@ -26,7 +29,10 @@ CASES = [
     ("hash_family", "f3r", '"f3r"', "f3r", HashFamily.F3R_F4R),
     ("hash_family", "md5", '"md5"', "md5", ParameterError),
 ]
-CASE_IDS = [f"{field}={text}" for field, _, _, text, _ in CASES]
+# a long text is named by its length, so that each case keeps a short, distinct id
+CASE_IDS = [
+    f"{field}={text if len(text) <= 40 else f'{len(text)}-chars'}" for field, _, _, text, _ in CASES
+]
 
 
 ROUTES = ("constructor", "replace", "from_json_dict", "from_config_text", "cli")

@@ -383,22 +383,23 @@ _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 # Each field is drawn from its whole domain; one_of leans some draws toward
 # values where a key can still come out, so the supply/demand check runs.
+_FIELDS = {
+    "dark_count_prob": st.one_of(st.floats(0.0, 1e-4), _UNIT),
+    "detector_efficiency": st.one_of(st.floats(0.3, 1.0), _UNIT),
+    "misalignment_error": st.one_of(st.floats(0.0, 0.05), _UNIT),
+    "ec_efficiency": st.one_of(st.floats(1.0, 1.5), st.floats(1.0, allow_infinity=False)),
+    "mean_pair_number": st.one_of(st.floats(0.01, 0.2), st.floats(0.0, 2.0, exclude_min=True)),
+    "basis_reconciliation_factor": st.one_of(st.floats(0.3, 0.7), _UNIT),
+    "phase_est_failure_prob": _OPEN_UNIT,
+    "block_size": st.one_of(st.integers(10**4, 10**9), st.integers(min_value=1)),
+    "hash_family": st.sampled_from(HashFamily),
+    "extractor_failure_prob": _OPEN_UNIT,
+    "channel_loss_db": st.one_of(st.floats(0.0, 40.0), st.floats(0.0, allow_infinity=False)),
+}
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    fields=st.fixed_dictionaries({
-        "dark_count_prob": st.one_of(st.floats(0.0, 1e-4), _UNIT),
-        "detector_efficiency": st.one_of(st.floats(0.3, 1.0), _UNIT),
-        "misalignment_error": st.one_of(st.floats(0.0, 0.05), _UNIT),
-        "ec_efficiency": st.one_of(st.floats(1.0, 1.5), st.floats(1.0, allow_infinity=False)),
-        "mean_pair_number": st.one_of(st.floats(0.01, 0.2), st.floats(0.0, 2.0, exclude_min=True)),
-        "basis_reconciliation_factor": st.one_of(st.floats(0.3, 0.7), _UNIT),
-        "phase_est_failure_prob": _OPEN_UNIT,
-        "block_size": st.one_of(st.integers(10**4, 10**9), st.integers(min_value=1)),
-        "hash_family": st.sampled_from(HashFamily),
-        "extractor_failure_prob": _OPEN_UNIT,
-        "channel_loss_db": st.one_of(st.floats(0.0, 40.0), st.floats(0.0, allow_infinity=False)),
-    })
-)
+@given(fields=st.fixed_dictionaries(_FIELDS))
 def test_rate_point_on_any_parameters_is_finite_and_below_bbm92(fields):
     try:
         params = ProtocolParams(**fields)
@@ -411,3 +412,19 @@ def test_rate_point_on_any_parameters_is_finite_and_below_bbm92(fields):
     assert b.n_f_passive <= b.n_f_bbm92
     if b.n_f_passive > 0:
         assert b.seed_supply >= b.seed_demand
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    fields=st.fixed_dictionaries({k: v for k, v in _FIELDS.items() if k != "channel_loss_db"}),
+    losses=st.lists(_FIELDS["channel_loss_db"], min_size=2, max_size=2),
+)
+def test_rate_point_rates_never_rise_with_loss(fields, losses):
+    near, far = sorted(losses)
+    try:
+        params = ProtocolParams(**fields, channel_loss_db=near)
+    except ParameterError:
+        return
+    b_near, b_far = rate_point(params), rate_point(params.replace(channel_loss_db=far))
+    assert b_far.rate_per_pulse_passive <= b_near.rate_per_pulse_passive
+    assert b_far.rate_per_pulse_bbm92 <= b_near.rate_per_pulse_bbm92

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passiveqkd import (
     BitString,
@@ -15,6 +17,7 @@ from passiveqkd import (
     SessionTally,
     make_error_rates,
 )
+from passiveqkd.types import MAX_COUNT
 
 
 def test_hash_family_parse_aliases():
@@ -117,6 +120,35 @@ def test_params_json_roundtrip():
 def test_params_config_text_roundtrip():
     p = ProtocolParams(channel_loss_db=12.5, block_size=2_000_000)
     assert ProtocolParams.from_config_text(p.to_config_text()) == p
+
+
+_UNIT = st.floats(0.0, 1.0)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    fields=st.fixed_dictionaries({
+        "dark_count_prob": _UNIT,
+        "detector_efficiency": _UNIT,
+        "misalignment_error": _UNIT,
+        "ec_efficiency": st.floats(1.0, allow_infinity=False),
+        "mean_pair_number": st.floats(0.0, 2.0, exclude_min=True),
+        "basis_reconciliation_factor": _UNIT,
+        "phase_est_failure_prob": _OPEN_UNIT,
+        "block_size": st.integers(1, MAX_COUNT),
+        "hash_family": st.sampled_from(HashFamily),
+        "extractor_failure_prob": _OPEN_UNIT,
+        "channel_loss_db": st.floats(0.0, allow_infinity=False),
+    })
+)
+def test_params_roundtrip_through_text_and_json(fields):
+    try:
+        p = ProtocolParams(**fields)
+    except ParameterError:
+        return
+    assert ProtocolParams.from_config_text(p.to_config_text()) == p
+    assert ProtocolParams.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
 
 def test_params_config_text_comments_and_json_sniffing(tmp_path):
