@@ -65,10 +65,10 @@ def phase_error_upper_bound(
     """
     if not 0.0 <= e_obs <= 0.5:
         raise ParameterError("e_obs must lie in [0, 0.5]")
-    if n_obs < 1 or n_target < 1:
+    if not (n_obs >= 1 and n_target >= 1):
         raise ParameterError("pool sizes must be at least 1")
-    if not 0.0 < eps_ph < 1.0:
-        raise ParameterError("eps_ph must lie in (0, 1)")
+    if not (0.0 < eps_ph < 1.0 and 1.0 / eps_ph < math.inf):
+        raise ParameterError("eps_ph must lie in (0, 1), its reciprocal finite")
     theta = math.sqrt(
         (n_obs + n_target) * math.log(1.0 / eps_ph) / (2.0 * n_obs * n_target)
     )
@@ -86,11 +86,11 @@ def certified_rates(
     both phase bounds are one half.
     """
     e_bx, e_bz = min(e_bx, 0.5), min(e_bz, 0.5)
-    if n_s_x >= 1 and n_s_z >= 1:
+    if n_s_x < 1 or n_s_z < 1:  # a NaN count fails both tests, and the bound refuses it
+        e_px_up = e_pz_up = 0.5
+    else:
         e_px_up = phase_error_upper_bound(e_bz, n_s_z, n_s_x, eps_ph)
         e_pz_up = phase_error_upper_bound(e_bx, n_s_x, n_s_z, eps_ph)
-    else:
-        e_px_up = e_pz_up = 0.5
     return make_error_rates(e_bx, e_bz, e_px_up, e_pz_up)
 
 
@@ -112,7 +112,7 @@ def min_entropy_mismatched_per_basis(
 
 def min_entropy_mismatched_aggregate(n_r: float, n_s: float, e_p_tilde: float) -> float:
     """Single-pool form of the mismatched min-entropy, using the worst-case bound."""
-    if n_s > n_r:
+    if not n_s <= n_r:
         raise ParameterError("n_s cannot exceed n_r")
     return (n_r - n_s) * (1.0 - binary_entropy(e_p_tilde))
 
@@ -121,7 +121,7 @@ def min_entropy_error_corrected(
     n_s: float, e_p_tilde: float, e_b_tilde: float, f: float
 ) -> float:
     """Min-entropy of the error-corrected key given the public transcript."""
-    if n_s < 0:
+    if not n_s >= 0:
         raise ParameterError("n_s must be non-negative")
     return max(
         0.0,
@@ -137,9 +137,9 @@ def seed_requirement(family: HashFamily, n_s: float, n_f: float) -> float:
     ``ceil(log2(n_s)**3)`` (zero for ``n_s`` of 0 or 1), the TSSR family at
     ``2 n_f`` and epsilon-almost pairwise independent hashing at ``4 n_f``.
     """
-    if n_f < 0 or n_s < 0:
+    if not (n_f >= 0 and n_s >= 0):
         raise ParameterError("lengths must be non-negative")
-    if n_f > n_s:
+    if not n_f <= n_s:
         raise ParameterError("output cannot exceed input length")
     if family is HashFamily.F1R_F2R:
         return n_s - n_f
@@ -209,9 +209,9 @@ def solve_epsilon(
     at most ``2 + 2 ceil(log2(n_s))`` evaluations for ``n_s >= 1``, about
     twice bisection's.
     """
-    if n_s < 0 or n_s > n_r:
+    if not 0 <= n_s <= n_r:
         raise ParameterError("need 0 <= n_s <= n_r")
-    if n_r > MAX_COUNT:
+    if not n_r <= MAX_COUNT:
         raise ParameterError(f"n_r must be at most {MAX_COUNT}")
     if not 1.0 <= f < math.inf:
         raise ParameterError("f must be finite and at least 1")

@@ -14,7 +14,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .types import (
     ParameterError,
     ProtocolParams,
     SessionTally,
+    _json_fields,
 )
 
 __all__ = ["ClassicalMessage", "SessionResult", "run_session"]
@@ -81,10 +81,6 @@ class ClassicalMessage:
         }
 
 
-def _bits_json(bits: BitString) -> dict:
-    return {"len": len(bits), "hex": bits.to_hex()}
-
-
 @dataclass(frozen=True, slots=True)
 class SessionResult:
     """Everything produced by one simulated session."""
@@ -106,28 +102,11 @@ class SessionResult:
     transcript: tuple[ClassicalMessage, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            # only the Toeplitz key is privacy-amplified; the other families'
-            # keys are truncations that stand in for their budgeted hashes
-            "pa": "toeplitz"
-            if self.params.hash_family is HashFamily.TOEPLITZ
-            else "accounting-only",
-            "params": self.params.to_json_dict(),
-            "n_pulses": self.n_pulses,
-            "rng_seed": self.rng_seed,
-            "tally": self.tally.to_json_dict(),
-            "rates": dataclasses.asdict(self.rates),
-            "epsilon": self.epsilon,
-            "epsilon_nominal": self.epsilon_nominal,
-            "n_f": self.n_f,
-            "w_pool": _bits_json(self.w_pool),
-            "w_star": _bits_json(self.w_star),
-            "k_sift_a": _bits_json(self.k_sift_a),
-            "k_sift_b": _bits_json(self.k_sift_b),
-            "k_final": _bits_json(self.k_final),
-            "transcript": [m.to_json_dict() for m in self.transcript],
-        }
+        # only the Toeplitz key is privacy-amplified; the other families'
+        # keys are truncations that stand in for their budgeted hashes
+        pa = "toeplitz" if self.params.hash_family is HashFamily.TOEPLITZ else "accounting-only"
+        # "status" is the first field, so its entry keeps the first place
+        return {"status": self.status, "pa": pa, **_json_fields(self)}
 
     def transcript_log(self) -> str:
         return "".join(m.to_line() + "\n" for m in self.transcript)

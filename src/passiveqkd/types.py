@@ -70,15 +70,6 @@ class HashFamily(enum.Enum):
         raise ParameterError(f"unknown hash family: {token!r}")
 
 
-def _json_fields(obj) -> dict:
-    """A dataclass's fields by name, with each hash family as its value string."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        out[f.name] = v.value if isinstance(v, HashFamily) else v
-    return out
-
-
 class BitString:
     """Immutable bit sequence packed 8 bits per byte, LSB first.
 
@@ -180,6 +171,27 @@ class BitString:
         return f"BitString(len={self._len}, hex={head}{ell})"
 
 
+def _json_fields(obj) -> dict:
+    """A record's fields by name, each in its JSON form; the one serializer of reports."""
+    return {f.name: _json_value(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def _json_value(v):
+    """A number or string as it is, a hash family as its value string, a bit
+    string as ``{"len", "hex"}``, a tuple as a list, and a nested record through
+    its own ``to_json_dict`` if it has one, else field by field."""
+    if isinstance(v, (int, float, str)):  # most fields are scalars, so they are tested first
+        return v
+    if isinstance(v, HashFamily):
+        return v.value
+    if isinstance(v, BitString):
+        return {"len": len(v), "hex": v.to_hex()}
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    to_json = getattr(v, "to_json_dict", None)
+    return to_json() if to_json is not None else _json_fields(v)
+
+
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must lie in [0, 1], got {value}")
@@ -222,10 +234,11 @@ class ProtocolParams:
         # the channel runs on half the pump, which a subnormal pump rounds to zero
         if not 0.0 < self.mean_pair_number / 2.0 <= MAX_MEAN_PAIR_NUMBER / 2.0:
             raise ParameterError(f"mean_pair_number must lie in (0, {MAX_MEAN_PAIR_NUMBER}]")
-        if not 0.0 < self.phase_est_failure_prob < 1.0:
-            raise ParameterError("phase_est_failure_prob must lie in (0, 1)")
-        if not (0.0 < self.extractor_failure_prob < 1.0 and 1.0 / self.extractor_failure_prob < math.inf):
-            raise ParameterError("extractor_failure_prob must lie in (0, 1), its reciprocal finite")
+        # each failure probability enters a certificate as log(1/p)
+        for name in ("phase_est_failure_prob", "extractor_failure_prob"):
+            p = getattr(self, name)
+            if not (0.0 < p < 1.0 and 1.0 / p < math.inf):
+                raise ParameterError(f"{name} must lie in (0, 1), its reciprocal finite")
         size = self.block_size
         if isinstance(size, bool) or not isinstance(size, int) or not 1 <= size <= MAX_COUNT:
             raise ParameterError(f"block_size must be an integer in [1, {MAX_COUNT}], got {size!r}")

@@ -52,7 +52,10 @@ OPTIMIZE_MU_CASES = {
 
 # name -> (extra argv after "simulate", exit code).  Small sessions: a
 # lossless Toeplitz key, the same block under an accounting-only family, and
-# a noisy block with double clicks whose penalized solve leaves no key.
+# a noisy block with double clicks whose penalized solve leaves no key.  The
+# last two are the report's empty edges: a session with no detection (every
+# bit string and transcript payload empty), and a pool that certifies no seed
+# bit, so that the whole sifted key is reassigned and ``w_star`` is empty.
 _LOSSLESS = [
     "--pulses", "60000", "--seed", "1", "--dark-count-prob", "0", "--detector-efficiency", "1",
     "--misalignment-error", "0.01", "--mean-pair-number", "0.05",
@@ -65,6 +68,8 @@ SESSION_CASES = {
         "--detector-efficiency", "0.9", "--misalignment-error", "0.015",
         "--mean-pair-number", "0.12",
     ], 3),
+    "empty": (["--pulses", "10", "--seed", "1"], 3),
+    "no-seed": (["--pulses", "1000", "--seed", "1", "--dark-count-prob", "1"], 3),
 }
 SESSION_SUFFIXES = (".stdout", ".report.json", ".transcript.log")
 

@@ -26,6 +26,10 @@ CASES = [
     ("mean_pair_number", 50.0, "50", "50", ParameterError),
     ("mean_pair_number", 5e-324, "5e-324", "5e-324", ParameterError),
     ("extractor_failure_prob", 5e-324, "5e-324", "5e-324", ParameterError),
+    # below the smallest normal float the reciprocal in log(1/p) overflows
+    ("phase_est_failure_prob", 1e-310, "1e-310", "1e-310", ParameterError),
+    ("phase_est_failure_prob", 2.2250738585072014e-308, "2.2250738585072014e-308",
+     "2.2250738585072014e-308", 2.2250738585072014e-308),
     ("hash_family", "f3r", '"f3r"', "f3r", HashFamily.F3R_F4R),
     ("hash_family", "md5", '"md5"', "md5", ParameterError),
 ]

@@ -78,6 +78,41 @@ def test_certified_rates_crosses_bases_and_clamps():
         assert (r.e_px_up, r.e_pz_up) == (0.5, 0.5)
 
 
+_NAN = float("nan")
+_RATES = make_error_rates(0.01, 0.01, 0.05, 0.05)
+# NaN passes a negated comparison such as `n < 1`; a subnormal eps_ph overflows
+# 1/eps_ph, so the bound would clamp to 0.5.  Each must raise instead.
+_REFUSED = {
+    "solve-nan-n_r": lambda: solve_epsilon(_NAN, 5, _RATES, 1.15, HashFamily.TOEPLITZ),
+    "solve-nan-n_s": lambda: solve_epsilon(10, _NAN, _RATES, 1.15, HashFamily.TOEPLITZ),
+    "bound-nan-n_obs": lambda: phase_error_upper_bound(0.01, _NAN, 10, 1e-7),
+    "bound-nan-n_target": lambda: phase_error_upper_bound(0.01, 10, _NAN, 1e-7),
+    "bound-subnormal-eps": lambda: phase_error_upper_bound(0.01, 10, 10, 1e-310),
+    "certified-nan-n_s_x": lambda: certified_rates(0.01, 0.01, _NAN, 10, 1e-7),
+    "certified-nan-n_s_z": lambda: certified_rates(0.01, 0.01, 10, _NAN, 1e-7),
+    "certified-subnormal-eps": lambda: certified_rates(0.01, 0.01, 10, 10, 1e-310),
+    "aggregate-nan-n_r": lambda: min_entropy_mismatched_aggregate(_NAN, 5, 0.1),
+    "corrected-nan-n_s": lambda: min_entropy_error_corrected(_NAN, 0.1, 0.1, 1.15),
+    "requirement-nan-n_s": lambda: seed_requirement(HashFamily.TOEPLITZ, _NAN, 1),
+    "requirement-nan-n_f": lambda: seed_requirement(HashFamily.TOEPLITZ, 10, _NAN),
+}
+
+
+@pytest.mark.parametrize("call", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_nan_counts_and_subnormal_eps_ph_are_refused(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_smallest_normal_eps_ph_still_certifies():
+    p = ProtocolParams(
+        dark_count_prob=0.0, detector_efficiency=1.0, misalignment_error=0.01,
+        mean_pair_number=0.05, phase_est_failure_prob=2.2250738585072014e-308,
+    )
+    bd = rate_point(p)
+    assert bd.e_p_tilde < 0.5 and bd.n_f_passive > 0
+
+
 def test_rate_point_uses_the_certificate():
     p = ProtocolParams(channel_loss_db=10.0, block_size=20_000)
     bd = rate_point(p)

@@ -1,5 +1,6 @@
 """End-to-end session behaviour: bookkeeping, transcript hygiene, key output."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from passiveqkd import (
     HashFamily,
     ParameterError,
     ProtocolParams,
+    SessionResult,
     leftover_hash_penalty,
     optimize_mu,
     passive_final_key_length,
@@ -153,6 +155,20 @@ def test_json_report_roundtrips_through_json():
     assert back["status"] == r.status
     assert back["tally"]["n_s"] == r.tally.n_s
     assert back["k_final"]["len"] == len(r.k_final)
+
+
+def test_report_is_status_pa_then_every_field_and_its_bits_decode():
+    r = run_session(BENCH, 20_000, 2)
+    report = r.to_json_dict()
+    fields = dataclasses.fields(SessionResult)
+    names = [f.name for f in fields]
+    assert names[0] == "status"  # the first field, then "pa", then the rest in order
+    assert list(report) == ["status", "pa", *names[1:]]
+    bit_fields = [f.name for f in fields if isinstance(getattr(r, f.name), BitString)]
+    assert bit_fields == ["w_pool", "w_star", "k_sift_a", "k_sift_b", "k_final"]
+    for name in bit_fields:
+        encoded = report[name]
+        assert BitString.from_hex(encoded["hex"], encoded["len"]) == getattr(r, name)
 
 
 def test_report_from_numpy_integers_dumps_like_ints():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from passiveqkd import toeplitz
 from passiveqkd import (
@@ -147,23 +149,49 @@ def test_modified_toeplitz_edges():
     assert modified_toeplitz_hash(data, 40, BitString.zeros(39)) == data
 
 
-def test_modified_toeplitz_matches_naive():
-    rng = np.random.default_rng(8)
-    for _ in range(40):
-        n = int(rng.integers(1, 12))
-        n_out = int(rng.integers(0, n + 1))
-        data = [int(x) for x in rng.integers(0, 2, n)]
-        seed = [int(x) for x in rng.integers(0, 2, max(0, n - 1))]
-        got = _bits(
-            modified_toeplitz_hash(BitString.from_bits(data), n_out, BitString.from_bits(seed))
-        )
-        # the oracle reads the leading tail_len + n_out - 1 seed taps
-        tail_len = n - n_out
-        if tail_len:
-            want = _naive_modified(data, seed[: tail_len + n_out - 1], n_out)
-        else:
-            want = data[:n_out]
-        assert got == want
+def _unpack(x: int, n: int) -> list:
+    return [(x >> k) & 1 for k in range(n)]
+
+
+# Up to 70 input bits, so the longer operand of gf2_convolve runs to 139 bits and
+# its FFT length (the next power of two) to 256.  The examples put that operand
+# exactly on a power of two and one past it, with every bit set.
+_ONES = 2**139 - 1
+_SIZES = dict(n=st.integers(1, 70), n_out=st.integers(0, 70), data=st.integers(0, _ONES),
+              seed=st.integers(0, _ONES))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**_SIZES)
+@example(n=65, n_out=20, data=_ONES, seed=_ONES)
+@example(n=66, n_out=33, data=_ONES, seed=_ONES)
+def test_modified_toeplitz_matches_naive(n, n_out, data, seed):
+    n_out %= n + 1
+    data, seed = _unpack(data, n), _unpack(seed, n - 1)
+    got = _bits(
+        modified_toeplitz_hash(BitString.from_bits(data), n_out, BitString.from_bits(seed))
+    )
+    # the oracle reads the leading tail_len + n_out - 1 seed taps
+    tail_len = n - n_out
+    if tail_len:
+        want = _naive_modified(data, seed[: tail_len + n_out - 1], n_out)
+    else:
+        want = data[:n_out]
+    assert got == want
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**_SIZES)
+@example(n=33, n_out=32, data=_ONES, seed=_ONES)
+@example(n=33, n_out=33, data=_ONES, seed=_ONES)
+@example(n=65, n_out=64, data=_ONES, seed=_ONES)
+@example(n=65, n_out=65, data=_ONES, seed=_ONES)
+def test_toeplitz_hash_matches_naive(n, n_out, data, seed):
+    n_out %= n + 1
+    in_bits, seed_bits = _unpack(data, n), _unpack(seed, n + n_out - 1)
+    spec = ToeplitzSpec(n_in=n, n_out=n_out, seed=BitString.from_bits(seed_bits))
+    got = _bits(toeplitz_hash(spec, BitString.from_bits(in_bits)))
+    assert got == _naive_toeplitz(seed_bits, in_bits, n_out)
 
 
 def test_modified_toeplitz_seed_length():

@@ -58,6 +58,29 @@ def test_bitstring_slice_xor_concat():
     assert list(a[3:17].to_numpy()) == list(a.to_numpy()[3:17])
 
 
+def _unpack(x: int, n: int) -> np.ndarray:
+    return np.array([(x >> k) & 1 for k in range(n)], dtype=np.uint8)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    x=st.integers(0, 2**300 - 1),
+    y=st.integers(0, 2**300 - 1),
+    data=st.data(),
+)
+def test_bitstring_roundtrips_and_agrees_with_numpy(n, x, y, data):
+    bits_a, bits_b = _unpack(x, n), _unpack(y, n)
+    start, stop = (data.draw(st.integers(-n - 2, n + 2)) for _ in range(2))
+    a, b = BitString.from_bits(bits_a), BitString.from_bits(bits_b)
+    assert len(a) == n and np.array_equal(a.to_numpy(), bits_a)
+    assert BitString.from_bits(a.to_numpy()) == a
+    assert BitString.from_hex(a.to_hex(), len(a)) == a
+    assert np.array_equal(a[start:stop].to_numpy(), bits_a[start:stop])
+    assert np.array_equal((a + b).to_numpy(), np.concatenate([bits_a, bits_b]))
+    assert np.array_equal((a ^ b).to_numpy(), bits_a ^ bits_b)
+
+
 def test_bitstring_zero_length():
     empty = BitString.zeros(0)
     assert len(empty) == 0
