@@ -26,7 +26,7 @@ from pathlib import Path
 from .optimize import optimize_mu, sweep_loss
 from .rates import seed_ledger, solve_epsilon
 from .session import run_session
-from .types import CSV_COLUMNS, HashFamily, ParameterError, ProtocolParams, make_error_rates
+from .types import CSV_COLUMNS, ErrorRates, HashFamily, ParameterError, ProtocolParams
 from .types import _coerce_fields, _parse_float, _parse_int
 
 __all__ = ["main"]
@@ -109,7 +109,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_epsilon(args: argparse.Namespace) -> int:
     n_r, n_s = _parse_int("n_r", args.n_r), _parse_int("n_s", args.n_s)
     e_b, e_p, f = (_parse_float(n, getattr(args, n)) for n in ("e_b_tilde", "e_p_tilde", "ec_efficiency"))
-    rates = make_error_rates(e_b, e_b, e_p, e_p)
+    rates = ErrorRates(e_b, e_b, e_p, e_p)
     families = (
         [HashFamily.parse(args.hash_family)] if args.hash_family is not None else list(HashFamily)
     )

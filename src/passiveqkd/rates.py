@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .channel import coincidence_gain_qber, derive_channel
-from .types import MAX_COUNT, ErrorRates, HashFamily, ParameterError, ProtocolParams, RateBreakdown, make_error_rates
+from .types import MAX_COUNT, ErrorRates, HashFamily, ParameterError, ProtocolParams, RateBreakdown
 
 __all__ = [
     "binary_entropy",
@@ -28,7 +28,6 @@ __all__ = [
     "min_entropy_mismatched_per_basis",
     "min_entropy_mismatched_aggregate",
     "min_entropy_error_corrected",
-    "seed_requirement",
     "reassignment_demand",
     "seed_ledger",
     "solve_epsilon",
@@ -91,7 +90,7 @@ def certified_rates(
     else:
         e_px_up = phase_error_upper_bound(e_bz, n_s_z, n_s_x, eps_ph)
         e_pz_up = phase_error_upper_bound(e_bx, n_s_x, n_s_z, eps_ph)
-    return make_error_rates(e_bx, e_bz, e_px_up, e_pz_up)
+    return ErrorRates(e_bx, e_bz, e_px_up, e_pz_up)
 
 
 def key_length_basis(n_s_basis: float, e_p_up: float, e_b: float, f: float) -> float:
@@ -129,24 +128,28 @@ def min_entropy_error_corrected(
     )
 
 
-def seed_requirement(family: HashFamily, n_s: float, n_f: float) -> float:
-    """Seed bits the hash family consumes to compress ``n_s`` bits to ``n_f``.
+def reassignment_demand(family: HashFamily, n_s: float, n_f: float) -> float:
+    """Seed bits the hash family consumes to compress ``n_s`` key bits to ``n_f``.
 
-    Budgets per family: F1R/F2R need ``n_s - n_f``, F3R/F4R need ``n_f``,
-    a Toeplitz matrix is budgeted at ``n_s``, Trevisan's extractor at
-    ``ceil(log2(n_s)**3)`` (zero for ``n_s`` of 0 or 1), the TSSR family at
-    ``2 n_f`` and epsilon-almost pairwise independent hashing at ``4 n_f``.
+    A Toeplitz matrix is budgeted at ``n_s``, even for an empty key.  For every
+    other family an empty key demands nothing, since with no bits to hash there
+    is no extraction step; otherwise F1R/F2R need ``n_s - n_f``, F3R/F4R need
+    ``n_f``, Trevisan's extractor ``ceil(log2(n_s)**3)`` (zero for ``n_s`` of
+    at most 1), the TSSR family ``2 n_f`` and epsilon-almost pairwise
+    independent hashing ``4 n_f``.
     """
     if not (n_f >= 0 and n_s >= 0):
         raise ParameterError("lengths must be non-negative")
     if not n_f <= n_s:
         raise ParameterError("output cannot exceed input length")
+    if family is HashFamily.TOEPLITZ:
+        return n_s
+    if n_f == 0:
+        return 0.0
     if family is HashFamily.F1R_F2R:
         return n_s - n_f
     if family is HashFamily.F3R_F4R:
         return n_f
-    if family is HashFamily.TOEPLITZ:
-        return n_s
     if family is HashFamily.TREVISAN:
         return 0.0 if n_s <= 1 else float(math.ceil(math.log2(n_s) ** 3))
     if family is HashFamily.TSSR:
@@ -154,18 +157,6 @@ def seed_requirement(family: HashFamily, n_s: float, n_f: float) -> float:
     if family is HashFamily.EPS_ALMOST_PAIRWISE:
         return 4.0 * n_f
     raise ParameterError(f"unhandled hash family: {family}")
-
-
-def reassignment_demand(family: HashFamily, n_s: float, n_f: float) -> float:
-    """Seed demand as the reassignment solve charges it.
-
-    Identical to :func:`seed_requirement` except that an empty key demands
-    nothing: with no bits to hash there is no extraction step.  The Toeplitz
-    family is the exception, budgeted at the input length regardless.
-    """
-    if n_f <= 0.0 and family is not HashFamily.TOEPLITZ:
-        return 0.0
-    return seed_requirement(family, n_s, n_f)
 
 
 def seed_ledger(
@@ -177,11 +168,21 @@ def seed_ledger(
     The supply ``(n_r - n_s + eps)(1 - H2(e_p_tilde))`` is the certified
     min-entropy of the enlarged pool, ``n_f`` that of the ``n_s - eps`` key
     bits left, and the demand is :func:`reassignment_demand` for that key.
+    It refuses counts outside ``0 <= eps <= n_s <= n_r <= MAX_COUNT`` and an
+    ``f`` below 1 or infinite, NaN included.
     A session passes ``penalty_bits`` (the leftover-hash cost of extracting
     the seed): the supply becomes the extractor's output length,
     ``max(0, floor(supply - penalty_bits))`` (a negative margin means no seed
     bits, not a debt), and ``n_f`` is floored before the demand is charged.
     """
+    if not 0 <= n_s <= n_r:
+        raise ParameterError("need 0 <= n_s <= n_r")
+    if not n_r <= MAX_COUNT:
+        raise ParameterError(f"n_r must be at most {MAX_COUNT}")
+    if not 0 <= eps <= n_s:
+        raise ParameterError("eps must lie in [0, n_s]")
+    if not 1.0 <= f < math.inf:
+        raise ParameterError("f must be finite and at least 1")
     supply = (n_r - n_s + eps) * (1.0 - binary_entropy(rates.e_p_tilde))
     n_f = min_entropy_error_corrected(n_s - eps, rates.e_p_tilde, rates.e_b_tilde, f)
     if penalty_bits is not None:
@@ -207,23 +208,17 @@ def solve_epsilon(
     four ledger evaluations in all.  A probe that fails to halve the bracket
     is followed by a midpoint probe, so every two probes at least halve it:
     at most ``2 + 2 ceil(log2(n_s))`` evaluations for ``n_s >= 1``, about
-    twice bisection's.
+    twice bisection's.  The ledger refuses bad inputs at the first probe.
     """
-    if not 0 <= n_s <= n_r:
-        raise ParameterError("need 0 <= n_s <= n_r")
-    if not n_r <= MAX_COUNT:
-        raise ParameterError(f"n_r must be at most {MAX_COUNT}")
-    if not 1.0 <= f < math.inf:
-        raise ParameterError("f must be finite and at least 1")
 
     def margin(eps: int) -> float:
         supply, demand, _ = seed_ledger(eps, n_r, n_s, rates, f, family, penalty_bits)
         return supply - demand
 
-    lo, hi = 0, int(math.floor(n_s))
-    m_lo = margin(lo)
+    m_lo = margin(0)  # before floor(n_s), which a NaN count would make raise ValueError
     if m_lo >= 0:
-        return lo
+        return 0
+    lo, hi = 0, int(math.floor(n_s))
     m_hi = margin(hi)
     if m_hi < 0:
         return hi

@@ -185,9 +185,9 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
     epsilon = solve_epsilon(tally.n_r, n_s, rates, f, family, penalty)
     n_out, _, n_f = seed_ledger(epsilon, tally.n_r, n_s, rates, f, family, penalty)
 
-    kec = k_sift_a  # error correction modeled: Bob's corrected key equals Alice's
-    kec_short = kec[: n_s - epsilon]
-    w_enlarged = w_pool + kec[n_s - epsilon :]
+    # error correction modeled: Bob's corrected key equals Alice's sifted bits
+    kec_short = BitString.from_bits(sift_a[: n_s - epsilon])
+    w_enlarged = BitString.from_bits(np.concatenate((pool_bits, sift_a[n_s - epsilon :])))
     if n_out >= 1:
         private_rng = np.random.default_rng([rng_seed, _PRIVATE_STREAM])
         private_seed = BitString.random(len(w_enlarged) + n_out - 1, private_rng)

@@ -111,7 +111,12 @@ def modified_toeplitz_hash(data: BitString, n_out: int, seed: BitString) -> BitS
 
 
 def leftover_hash_penalty(eps_ext: float) -> float:
-    """Leftover-hash cost in bits of one extraction at failure probability ``eps_ext``."""
+    """Leftover-hash cost in bits of one extraction at failure probability ``eps_ext``.
+
+    :raises ParameterError: unless ``eps_ext`` lies in (0, 1) with a finite reciprocal.
+    """
+    if not (0.0 < eps_ext < 1.0 and 1.0 / eps_ext < math.inf):
+        raise ParameterError("eps_ext must lie in (0, 1), its reciprocal finite")
     return 2.0 * math.log2(1.0 / eps_ext)
 
 

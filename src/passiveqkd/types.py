@@ -150,11 +150,6 @@ class BitString:
         b = np.frombuffer(other._buf, dtype=np.uint8)
         return BitString((a ^ b).tobytes(), self._len)
 
-    def __add__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return BitString.from_bits(np.concatenate([self.to_numpy(), other.to_numpy()]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)
@@ -344,9 +339,11 @@ def _parse_float(name: str, value) -> float:
 class ErrorRates:
     """Observed bit error rates plus their certified phase-error upper bounds.
 
-    The aggregate fields are derived, never supplied: ``e_p_tilde`` and
-    ``e_b_tilde`` are the worst case over the two bases, which is what the
-    single-pool min-entropy certificate consumes.
+    Each input must be a probability in [0, 1]; anything above one half is
+    informationless and is stored as exactly one half.  The aggregate fields
+    are derived, never supplied: ``e_p_tilde`` and ``e_b_tilde`` are the
+    worst case over the two bases, which is what the single-pool min-entropy
+    certificate consumes.
     """
 
     e_bx: float
@@ -359,23 +356,15 @@ class ErrorRates:
     def __post_init__(self):
         for name in ("e_bx", "e_bz", "e_px_up", "e_pz_up"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 0.5:
-                raise ParameterError(f"{name} must lie in [0, 0.5], got {v}")
+            if not 0.0 <= v <= 1.0:  # NaN fails too
+                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+            object.__setattr__(self, name, min(v, 0.5))
         object.__setattr__(self, "e_p_tilde", max(self.e_px_up, self.e_pz_up))
         object.__setattr__(self, "e_b_tilde", max(self.e_bx, self.e_bz))
 
 
-def make_error_rates(e_bx: float, e_bz: float, e_px_up: float, e_pz_up: float) -> ErrorRates:
-    """Build :class:`ErrorRates`, clamping each input into [0, 0.5].
-
-    Raw inputs must be probabilities in [0, 1]; anything above one half is
-    informationless and is treated as exactly one half.
-    """
-    vals = {"e_bx": e_bx, "e_bz": e_bz, "e_px_up": e_px_up, "e_pz_up": e_pz_up}
-    for name, v in vals.items():
-        if not 0.0 <= v <= 1.0 or math.isnan(v):
-            raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-    return ErrorRates(**{k: min(v, 0.5) for k, v in vals.items()})
+#: The constructor's older name, kept for callers that import it.
+make_error_rates = ErrorRates
 
 
 @dataclass(frozen=True, slots=True)

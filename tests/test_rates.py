@@ -27,7 +27,6 @@ from passiveqkd import (
     rate_point,
     reassignment_demand,
     seed_ledger,
-    seed_requirement,
     solve_epsilon,
 )
 
@@ -81,7 +80,9 @@ def test_certified_rates_crosses_bases_and_clamps():
 _NAN = float("nan")
 _RATES = make_error_rates(0.01, 0.01, 0.05, 0.05)
 # NaN passes a negated comparison such as `n < 1`; a subnormal eps_ph overflows
-# 1/eps_ph, so the bound would clamp to 0.5.  Each must raise instead.
+# 1/eps_ph, so the bound would clamp to 0.5.  The ledger's counts and f, and the
+# leftover-hash failure probability, are checked by their own functions too.
+# Each must raise instead.
 _REFUSED = {
     "solve-nan-n_r": lambda: solve_epsilon(_NAN, 5, _RATES, 1.15, HashFamily.TOEPLITZ),
     "solve-nan-n_s": lambda: solve_epsilon(10, _NAN, _RATES, 1.15, HashFamily.TOEPLITZ),
@@ -93,8 +94,18 @@ _REFUSED = {
     "certified-subnormal-eps": lambda: certified_rates(0.01, 0.01, 10, 10, 1e-310),
     "aggregate-nan-n_r": lambda: min_entropy_mismatched_aggregate(_NAN, 5, 0.1),
     "corrected-nan-n_s": lambda: min_entropy_error_corrected(_NAN, 0.1, 0.1, 1.15),
-    "requirement-nan-n_s": lambda: seed_requirement(HashFamily.TOEPLITZ, _NAN, 1),
-    "requirement-nan-n_f": lambda: seed_requirement(HashFamily.TOEPLITZ, 10, _NAN),
+    "requirement-nan-n_s": lambda: reassignment_demand(HashFamily.TOEPLITZ, _NAN, 1),
+    "requirement-nan-n_f": lambda: reassignment_demand(HashFamily.TOEPLITZ, 10, _NAN),
+    "ledger-nan-n_r": lambda: seed_ledger(5, _NAN, 10, _RATES, 1.15, HashFamily.TOEPLITZ),
+    "ledger-negative-eps": lambda: seed_ledger(-1, 20, 10, _RATES, 1.15, HashFamily.TOEPLITZ),
+    "ledger-eps-above-n_s": lambda: seed_ledger(11, 20, 10, _RATES, 1.15, HashFamily.TOEPLITZ),
+    "ledger-inf-f": lambda: seed_ledger(0, 20, 10, _RATES, math.inf, HashFamily.TOEPLITZ),
+    "penalty-zero": lambda: leftover_hash_penalty(0.0),
+    "penalty-subnormal": lambda: leftover_hash_penalty(5e-324),
+    "penalty-two": lambda: leftover_hash_penalty(2.0),
+    "penalty-negative": lambda: leftover_hash_penalty(-1.0),
+    "penalty-inf": lambda: leftover_hash_penalty(math.inf),
+    "penalty-nan": lambda: leftover_hash_penalty(_NAN),
 }
 
 
@@ -162,21 +173,23 @@ def test_error_corrected_entropy_examples():
 
 
 def test_seed_requirement_table():
-    assert seed_requirement(HashFamily.TOEPLITZ, 10**6, 5 * 10**5) == 10**6
-    assert seed_requirement(HashFamily.F3R_F4R, 10**6, 5 * 10**5) == 5 * 10**5
-    assert seed_requirement(HashFamily.F1R_F2R, 10**6, 5 * 10**5) == 5 * 10**5
-    assert seed_requirement(HashFamily.TREVISAN, 2**20, 12345) == 8000
-    assert seed_requirement(HashFamily.TREVISAN, 1, 0) == 0
-    assert seed_requirement(HashFamily.TREVISAN, 0, 0) == 0
-    assert seed_requirement(HashFamily.TSSR, 1000, 400) == 800
-    assert seed_requirement(HashFamily.EPS_ALMOST_PAIRWISE, 1000, 400) == 1600
+    """The per-family seed budgets that :func:`reassignment_demand` charges."""
+    assert reassignment_demand(HashFamily.TOEPLITZ, 10**6, 5 * 10**5) == 10**6
+    assert reassignment_demand(HashFamily.F3R_F4R, 10**6, 5 * 10**5) == 5 * 10**5
+    assert reassignment_demand(HashFamily.F1R_F2R, 10**6, 5 * 10**5) == 5 * 10**5
+    assert reassignment_demand(HashFamily.TREVISAN, 2**20, 12345) == 8000
+    assert reassignment_demand(HashFamily.TREVISAN, 1, 0) == 0
+    assert reassignment_demand(HashFamily.TREVISAN, 1, 1) == 0
+    assert reassignment_demand(HashFamily.TREVISAN, 0, 0) == 0
+    assert reassignment_demand(HashFamily.TSSR, 1000, 400) == 800
+    assert reassignment_demand(HashFamily.EPS_ALMOST_PAIRWISE, 1000, 400) == 1600
 
 
 def test_seed_requirement_domain():
     with pytest.raises(ParameterError):
-        seed_requirement(HashFamily.TOEPLITZ, 100, 101)
+        reassignment_demand(HashFamily.TOEPLITZ, 100, 101)
     with pytest.raises(ParameterError):
-        seed_requirement(HashFamily.TOEPLITZ, 100, -1)
+        reassignment_demand(HashFamily.TOEPLITZ, 100, -1)
 
 
 def test_reassignment_demand_empty_key_rule():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from passiveqkd import (
     BitString,
+    ErrorRates,
     HashFamily,
     ParameterError,
     ProtocolParams,
@@ -52,7 +53,7 @@ def test_bitstring_slice_xor_concat():
     x = a ^ b
     assert list(x.to_numpy()) == list(a.to_numpy() ^ b.to_numpy())
     assert (a ^ a) == BitString.zeros(40)
-    cat = a + b
+    cat = BitString.from_bits(np.concatenate((a.to_numpy(), b.to_numpy())))
     assert len(cat) == 80
     assert cat[:40] == a and cat[40:] == b
     assert list(a[3:17].to_numpy()) == list(a.to_numpy()[3:17])
@@ -77,7 +78,6 @@ def test_bitstring_roundtrips_and_agrees_with_numpy(n, x, y, data):
     assert BitString.from_bits(a.to_numpy()) == a
     assert BitString.from_hex(a.to_hex(), len(a)) == a
     assert np.array_equal(a[start:stop].to_numpy(), bits_a[start:stop])
-    assert np.array_equal((a + b).to_numpy(), np.concatenate([bits_a, bits_b]))
     assert np.array_equal((a ^ b).to_numpy(), bits_a ^ bits_b)
 
 
@@ -85,7 +85,6 @@ def test_bitstring_zero_length():
     empty = BitString.zeros(0)
     assert len(empty) == 0
     assert empty.to_hex() == ""
-    assert empty + empty == empty
 
 
 def test_bitstring_rejects_dirty_padding():
@@ -224,6 +223,13 @@ def test_error_rates_clamped_to_half():
     assert r.e_px_up == 0.5
     with pytest.raises(ParameterError):
         make_error_rates(1.2, 0.0, 0.0, 0.0)
+    # one constructor: building ErrorRates directly clamps and refuses alike
+    assert make_error_rates is ErrorRates
+    r = ErrorRates(0.8, 0.0, 1.0, 0.0)
+    assert (r.e_bx, r.e_bz, r.e_px_up, r.e_pz_up) == (0.5, 0.0, 0.5, 0.0)
+    for bad in (math.nan, 1.2):
+        with pytest.raises(ParameterError):
+            ErrorRates(bad, 0.0, 0.0, 0.0)
 
 
 def test_session_tally_identity_enforced():
