@@ -173,7 +173,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

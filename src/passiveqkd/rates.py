@@ -19,6 +19,7 @@ import math
 
 from .channel import coincidence_gain_qber, derive_channel
 from .types import MAX_COUNT, ErrorRates, HashFamily, ParameterError, ProtocolParams, RateBreakdown
+from .types import _check_unit, _failure_prob
 
 __all__ = [
     "binary_entropy",
@@ -64,10 +65,9 @@ def phase_error_upper_bound(
     """
     if not 0.0 <= e_obs <= 0.5:
         raise ParameterError("e_obs must lie in [0, 0.5]")
-    if not (n_obs >= 1 and n_target >= 1):
-        raise ParameterError("pool sizes must be at least 1")
-    if not (0.0 < eps_ph < 1.0 and 1.0 / eps_ph < math.inf):
-        raise ParameterError("eps_ph must lie in (0, 1), its reciprocal finite")
+    if not (1 <= n_obs <= MAX_COUNT and 1 <= n_target <= MAX_COUNT):
+        raise ParameterError(f"pool sizes must lie in [1, {MAX_COUNT}]")
+    eps_ph = _failure_prob("eps_ph", eps_ph)
     theta = math.sqrt(
         (n_obs + n_target) * math.log(1.0 / eps_ph) / (2.0 * n_obs * n_target)
     )
@@ -79,23 +79,21 @@ def certified_rates(
 ) -> ErrorRates:
     """Finite-size error certificate of a sifted key measured per basis.
 
-    Bit errors are clamped to one half; each basis's phase error is bounded
-    from the other basis's bit errors by :func:`phase_error_upper_bound`.
+    Bit errors must lie in [0, 1] and are clamped to one half; each basis's
+    phase error is bounded from the other basis's bit errors by
+    :func:`phase_error_upper_bound`.
     With fewer than one sifted bit in either basis nothing is certified and
     both phase bounds are one half.
     """
-    e_bx, e_bz = min(e_bx, 0.5), min(e_bz, 0.5)
-    if n_s_x < 1 or n_s_z < 1:  # a NaN count fails both tests, and the bound refuses it
+    e_bx, e_bz = min(_check_unit("e_bx", e_bx), 0.5), min(_check_unit("e_bz", e_bz), 0.5)
+    if not (0 <= n_s_x <= MAX_COUNT and 0 <= n_s_z <= MAX_COUNT):
+        raise ParameterError(f"sifted counts must lie in [0, {MAX_COUNT}]")
+    if n_s_x < 1 or n_s_z < 1:
         e_px_up = e_pz_up = 0.5
     else:
         e_px_up = phase_error_upper_bound(e_bz, n_s_z, n_s_x, eps_ph)
         e_pz_up = phase_error_upper_bound(e_bx, n_s_x, n_s_z, eps_ph)
     return ErrorRates(e_bx, e_bz, e_px_up, e_pz_up)
-
-
-def key_length_basis(n_s_basis: float, e_p_up: float, e_b: float, f: float) -> float:
-    """Extractable key (real-valued bits) from one basis of the sifted pool."""
-    return min_entropy_error_corrected(n_s_basis, e_p_up, e_b, f)
 
 
 def min_entropy_mismatched_per_basis(
@@ -106,26 +104,37 @@ def min_entropy_mismatched_per_basis(
     Mismatched X outcomes are bounded through the Z-basis phase bound and
     vice versa, hence the crossed argument order.
     """
+    if not (0 <= m_x <= MAX_COUNT and 0 <= m_z <= MAX_COUNT):
+        raise ParameterError(f"mismatched counts must lie in [0, {MAX_COUNT}]")
     return m_x * (1.0 - binary_entropy(e_pz_up)) + m_z * (1.0 - binary_entropy(e_px_up))
 
 
 def min_entropy_mismatched_aggregate(n_r: float, n_s: float, e_p_tilde: float) -> float:
     """Single-pool form of the mismatched min-entropy, using the worst-case bound."""
-    if not n_s <= n_r:
-        raise ParameterError("n_s cannot exceed n_r")
+    if not 0 <= n_s <= n_r <= MAX_COUNT:
+        raise ParameterError(f"need 0 <= n_s <= n_r <= {MAX_COUNT}")
     return (n_r - n_s) * (1.0 - binary_entropy(e_p_tilde))
 
 
 def min_entropy_error_corrected(
     n_s: float, e_p_tilde: float, e_b_tilde: float, f: float
 ) -> float:
-    """Min-entropy of the error-corrected key given the public transcript."""
-    if not n_s >= 0:
-        raise ParameterError("n_s must be non-negative")
+    """Min-entropy of the error-corrected key given the public transcript.
+
+    It refuses an ``f`` below 1 or infinite, NaN included.
+    """
+    if not 0 <= n_s <= MAX_COUNT:
+        raise ParameterError(f"n_s must lie in [0, {MAX_COUNT}]")
+    if not 1.0 <= f < math.inf:
+        raise ParameterError("f must be finite and at least 1")
     return max(
         0.0,
         n_s * (1.0 - binary_entropy(e_p_tilde) - f * binary_entropy(e_b_tilde)),
     )
+
+
+#: The key of one basis of the sifted pool is the same certificate on that basis's counts.
+key_length_basis = min_entropy_error_corrected
 
 
 def reassignment_demand(family: HashFamily, n_s: float, n_f: float) -> float:
@@ -138,8 +147,8 @@ def reassignment_demand(family: HashFamily, n_s: float, n_f: float) -> float:
     at most 1), the TSSR family ``2 n_f`` and epsilon-almost pairwise
     independent hashing ``4 n_f``.
     """
-    if not (n_f >= 0 and n_s >= 0):
-        raise ParameterError("lengths must be non-negative")
+    if not (n_f >= 0 and 0 <= n_s <= MAX_COUNT):
+        raise ParameterError(f"lengths must lie in [0, {MAX_COUNT}]")
     if not n_f <= n_s:
         raise ParameterError("output cannot exceed input length")
     if family is HashFamily.TOEPLITZ:
@@ -168,8 +177,9 @@ def seed_ledger(
     The supply ``(n_r - n_s + eps)(1 - H2(e_p_tilde))`` is the certified
     min-entropy of the enlarged pool, ``n_f`` that of the ``n_s - eps`` key
     bits left, and the demand is :func:`reassignment_demand` for that key.
-    It refuses counts outside ``0 <= eps <= n_s <= n_r <= MAX_COUNT`` and an
-    ``f`` below 1 or infinite, NaN included.
+    It refuses counts outside ``0 <= eps <= n_s <= n_r <= MAX_COUNT``, NaN
+    included, and a ``penalty_bits`` that is not finite and at least 0;
+    :func:`min_entropy_error_corrected` refuses a bad ``f``.
     A session passes ``penalty_bits`` (the leftover-hash cost of extracting
     the seed): the supply becomes the extractor's output length,
     ``max(0, floor(supply - penalty_bits))`` (a negative margin means no seed
@@ -181,11 +191,11 @@ def seed_ledger(
         raise ParameterError(f"n_r must be at most {MAX_COUNT}")
     if not 0 <= eps <= n_s:
         raise ParameterError("eps must lie in [0, n_s]")
-    if not 1.0 <= f < math.inf:
-        raise ParameterError("f must be finite and at least 1")
     supply = (n_r - n_s + eps) * (1.0 - binary_entropy(rates.e_p_tilde))
     n_f = min_entropy_error_corrected(n_s - eps, rates.e_p_tilde, rates.e_b_tilde, f)
     if penalty_bits is not None:
+        if not 0.0 <= penalty_bits < math.inf:
+            raise ParameterError("penalty_bits must be finite and at least 0")
         supply = max(0, math.floor(supply - penalty_bits))
         n_f = math.floor(n_f)
     return supply, reassignment_demand(family, n_s - eps, n_f), n_f

@@ -15,7 +15,6 @@ byte for byte.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .rates import (
 )
 from .toeplitz import extract_local_randomness, leftover_hash_penalty, modified_toeplitz_hash
 from .types import (
-    MAX_COUNT,
     BitString,
     ErrorRates,
     HashFamily,
@@ -37,6 +35,7 @@ from .types import (
     ProtocolParams,
     SessionTally,
     _json_fields,
+    _whole_number,
 )
 
 __all__ = ["ClassicalMessage", "SessionResult", "run_session"]
@@ -112,13 +111,6 @@ class SessionResult:
         return "".join(m.to_line() + "\n" for m in self.transcript)
 
 
-def _whole_number(name: str, value, least: int) -> int:
-    """``value`` as a Python ``int``, if it is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
 def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> SessionResult:
     """Simulate one complete session of ``n_pulses`` pump windows.
 
@@ -137,9 +129,7 @@ def run_session(params: ProtocolParams, n_pulses: int, rng_seed: int) -> Session
 
     Session statuses: "ok"; "no-key" when the certified key length is zero.
     """
-    n_pulses = _whole_number("n_pulses", n_pulses, 1)
-    if n_pulses > MAX_COUNT:
-        raise ParameterError(f"n_pulses must be at most {MAX_COUNT}")
+    n_pulses = _whole_number("n_pulses", n_pulses, 1)  # the sampler bounds it above
     rng_seed = _whole_number("rng_seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)
     a_basis, b_basis, a_bit, b_bit, n_double = sample_usable_windows(

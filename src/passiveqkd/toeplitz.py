@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import BitString, ParameterError
+from .types import BitString, ParameterError, _failure_prob
 
 __all__ = [
     "ToeplitzSpec",
@@ -115,9 +115,7 @@ def leftover_hash_penalty(eps_ext: float) -> float:
 
     :raises ParameterError: unless ``eps_ext`` lies in (0, 1) with a finite reciprocal.
     """
-    if not (0.0 < eps_ext < 1.0 and 1.0 / eps_ext < math.inf):
-        raise ParameterError("eps_ext must lie in (0, 1), its reciprocal finite")
-    return 2.0 * math.log2(1.0 / eps_ext)
+    return 2.0 * math.log2(1.0 / _failure_prob("eps_ext", eps_ext))
 
 
 def extract_local_randomness(w_pool: BitString, n_out: int, private_seed: BitString) -> BitString:

@@ -187,9 +187,25 @@ def _json_value(v):
     return to_json() if to_json is not None else _json_fields(v)
 
 
-def _check_unit(name: str, value: float) -> None:
+def _check_unit(name: str, value: float) -> float:
+    """``value``, if it is a probability in [0, 1]; NaN is not."""
     if not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _failure_prob(name: str, p: float) -> float:
+    """``p``, if it lies in (0, 1) with a finite reciprocal: it enters a certificate as log(1/p)."""
+    if not (0.0 < p < 1.0 and 1.0 / p < math.inf):
+        raise ParameterError(f"{name} must lie in (0, 1), its reciprocal finite")
+    return p
+
+
+def _whole_number(name: str, value, least: int) -> int:
+    """``value`` as a Python ``int``, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,11 +245,8 @@ class ProtocolParams:
         # the channel runs on half the pump, which a subnormal pump rounds to zero
         if not 0.0 < self.mean_pair_number / 2.0 <= MAX_MEAN_PAIR_NUMBER / 2.0:
             raise ParameterError(f"mean_pair_number must lie in (0, {MAX_MEAN_PAIR_NUMBER}]")
-        # each failure probability enters a certificate as log(1/p)
-        for name in ("phase_est_failure_prob", "extractor_failure_prob"):
-            p = getattr(self, name)
-            if not (0.0 < p < 1.0 and 1.0 / p < math.inf):
-                raise ParameterError(f"{name} must lie in (0, 1), its reciprocal finite")
+        _failure_prob("phase_est_failure_prob", self.phase_est_failure_prob)
+        _failure_prob("extractor_failure_prob", self.extractor_failure_prob)
         size = self.block_size
         if isinstance(size, bool) or not isinstance(size, int) or not 1 <= size <= MAX_COUNT:
             raise ParameterError(f"block_size must be an integer in [1, {MAX_COUNT}], got {size!r}")
@@ -355,10 +368,7 @@ class ErrorRates:
 
     def __post_init__(self):
         for name in ("e_bx", "e_bz", "e_px_up", "e_pz_up"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:  # NaN fails too
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, min(v, 0.5))
+            object.__setattr__(self, name, min(_check_unit(name, getattr(self, name)), 0.5))
         object.__setattr__(self, "e_p_tilde", max(self.e_px_up, self.e_pz_up))
         object.__setattr__(self, "e_b_tilde", max(self.e_bx, self.e_bz))
 
@@ -392,9 +402,6 @@ class SessionTally:
             raise ParameterError("n_s must equal n_s_x + n_s_z")
         if self.n_r != self.n_s + self.m_x + self.m_z:
             raise ParameterError("n_r must equal n_s + m_x + m_z")
-
-    def to_json_dict(self) -> dict:
-        return _json_fields(self)
 
 
 #: Column order of the sweep CSV emitted by the CLI.

@@ -201,3 +201,46 @@ def test_truncation_order_validation():
     with pytest.raises(ParameterError):
         truncation_order(0.0)
     assert truncation_order(0.05) >= 1
+
+
+_NAN = float("nan")
+_CH = derive_channel(REF)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pair_number_pmf(np.arange(3), _NAN),
+        lambda: pair_number_pmf(np.arange(3), math.inf),
+        lambda: pair_number_pmf(_NAN, 0.1),
+        lambda: pair_number_pmf(math.inf, 0.1),
+        lambda: pair_number_pmf(np.array([0.0, _NAN]), 0.1),
+        lambda: pair_number_tail(3, _NAN),
+        lambda: pair_number_tail(3, math.inf),
+        lambda: pair_number_tail(_NAN, 0.1),
+        lambda: pair_number_tail(math.inf, 0.1),
+        lambda: truncation_order(_NAN),
+        lambda: truncation_order(math.inf),
+        lambda: sample_usable_windows(_CH, _NAN, np.random.default_rng(0), 1000),
+        lambda: sample_usable_windows(_CH, 1.5, np.random.default_rng(0), 1000),
+        lambda: sample_usable_windows(_CH, 0.015, np.random.default_rng(0), 1.5),
+        lambda: sample_usable_windows(_CH, 0.015, np.random.default_rng(0), _NAN),
+        lambda: sample_usable_windows(_CH, 0.015, np.random.default_rng(0), 2**62 + 1),
+    ],
+    ids=[
+        "pmf-nan-lam", "pmf-inf-lam", "pmf-nan-n", "pmf-inf-n", "pmf-nan-in-array",
+        "tail-nan-lam", "tail-inf-lam", "tail-nan-m", "tail-inf-m",
+        "order-nan", "order-inf",
+        "sampler-nan-misalignment", "sampler-misalignment-above-one",
+        "sampler-fractional-pulses", "sampler-nan-pulses", "sampler-pulses-above-max",
+    ],
+)
+def test_channel_inputs_outside_their_domain_are_refused(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_tail_below_one_pair_is_certain():
+    """P(n >= m) is 1 for every m <= 0, the only non-positive m a caller may pass."""
+    for m in (0, -1, -5.5, -math.inf):
+        assert pair_number_tail(m, 0.1) == 1.0

@@ -80,9 +80,9 @@ def test_certified_rates_crosses_bases_and_clamps():
 _NAN = float("nan")
 _RATES = make_error_rates(0.01, 0.01, 0.05, 0.05)
 # NaN passes a negated comparison such as `n < 1`; a subnormal eps_ph overflows
-# 1/eps_ph, so the bound would clamp to 0.5.  The ledger's counts and f, and the
-# leftover-hash failure probability, are checked by their own functions too.
-# Each must raise instead.
+# 1/eps_ph, so the bound would clamp to 0.5.  The ledger's counts, and the
+# leftover-hash failure probability, are checked by their own functions too, and
+# f by the certificate that consumes it.  Each must raise instead.
 _REFUSED = {
     "solve-nan-n_r": lambda: solve_epsilon(_NAN, 5, _RATES, 1.15, HashFamily.TOEPLITZ),
     "solve-nan-n_s": lambda: solve_epsilon(10, _NAN, _RATES, 1.15, HashFamily.TOEPLITZ),
@@ -106,6 +106,25 @@ _REFUSED = {
     "penalty-negative": lambda: leftover_hash_penalty(-1.0),
     "penalty-inf": lambda: leftover_hash_penalty(math.inf),
     "penalty-nan": lambda: leftover_hash_penalty(_NAN),
+    "corrected-nan-f": lambda: min_entropy_error_corrected(1000, 0.05, 0.01, _NAN),
+    "corrected-inf-f": lambda: min_entropy_error_corrected(1000, 0.05, 0.01, math.inf),
+    "corrected-half-f": lambda: min_entropy_error_corrected(1000, 0.05, 0.01, 0.5),
+    "basis-nan-f": lambda: key_length_basis(1000, 0.05, 0.01, _NAN),
+    "final-inf-f": lambda: passive_final_key_length(1000, 10, _RATES, math.inf),
+    "certified-inf-e_bx": lambda: certified_rates(math.inf, 0.01, 100, 100, 1e-7),
+    "certified-e_bx-above-one": lambda: certified_rates(1.5, 0.01, 100, 100, 1e-7),
+    # counts are bounded above by MAX_COUNT, and the penalty must be finite and >= 0
+    "bound-inf-n_obs": lambda: phase_error_upper_bound(0.01, math.inf, 100, 1e-7),
+    "certified-negative-n_s_x": lambda: certified_rates(0.01, 0.01, -5, 100, 1e-7),
+    "aggregate-inf-n_r": lambda: min_entropy_mismatched_aggregate(math.inf, 5, 0.1),
+    "requirement-inf-n_s": lambda: reassignment_demand(HashFamily.TOEPLITZ, math.inf, 1),
+    "per-basis-nan-m_x": lambda: min_entropy_mismatched_per_basis(_NAN, 5, 0.1, 0.1),
+    "ledger-nan-penalty": lambda: seed_ledger(0, 20, 10, _RATES, 1.15, HashFamily.TOEPLITZ, _NAN),
+    "ledger-inf-penalty": lambda: seed_ledger(0, 20, 10, _RATES, 1.15, HashFamily.TOEPLITZ, math.inf),
+    "ledger-negative-penalty": lambda: seed_ledger(0, 20, 10, _RATES, 1.15, HashFamily.TOEPLITZ, -50.0),
+    "solve-nan-penalty": lambda: solve_epsilon(20, 10, _RATES, 1.15, HashFamily.TOEPLITZ, _NAN),
+    "solve-inf-penalty": lambda: solve_epsilon(20, 10, _RATES, 1.15, HashFamily.TOEPLITZ, math.inf),
+    "solve-negative-penalty": lambda: solve_epsilon(20, 10, _RATES, 1.15, HashFamily.TOEPLITZ, -50.0),
 }
 
 
