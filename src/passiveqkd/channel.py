@@ -42,6 +42,12 @@ TAIL_BOUND = 1e-12
 RANDOM_ERROR = 0.5
 
 
+def _check_half_pump(lam: float) -> None:
+    # derive_channel halves the pump, so this admits every ProtocolParams
+    if not 0.0 < lam <= MAX_MEAN_PAIR_NUMBER / 2.0:
+        raise ParameterError(f"lam must lie in (0, {MAX_MEAN_PAIR_NUMBER / 2.0}], got {lam}")
+
+
 @dataclass(frozen=True, slots=True)
 class ChannelDerived:
     """Quantities of the symmetric link derived from :class:`ProtocolParams`.
@@ -59,9 +65,7 @@ class ChannelDerived:
     def __post_init__(self):
         _check_unit("eta", self.eta)
         _check_unit("y0", self.y0)
-        # derive_channel halves the pump, so this admits every ProtocolParams
-        if not 0.0 < self.lam <= MAX_MEAN_PAIR_NUMBER / 2.0:
-            raise ParameterError(f"lam must lie in (0, {MAX_MEAN_PAIR_NUMBER / 2.0}]")
+        _check_half_pump(self.lam)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +122,12 @@ def pair_number_tail(m: int, lam: float) -> float:
 
 
 def truncation_order(lam: float) -> int:
-    """Smallest N such that P(n > N) < ``TAIL_BOUND``."""
+    """Smallest N such that P(n > N) < ``TAIL_BOUND``, for ``lam`` in (0, 1].
+
+    A larger ``lam`` is refused: the search is linear in N, which grows
+    without bound with ``lam``.
+    """
+    _check_half_pump(lam)
     n = 0
     while pair_number_tail(n + 1, lam) >= TAIL_BOUND:
         n += 1

@@ -1,9 +1,14 @@
 """Pump-strength optimization and loss sweeps.
 
 The certified rate is smooth and single-peaked in the mean pair number over
-any practical range, so a coarse geometric grid followed by golden-section
-refinement around the best grid cell is enough.  The refinement never
-evaluates outside the bracketing cells, so a flat-zero curve cannot send
+any practical range, so a geometric grid followed by golden-section
+refinement around the best grid cell is enough.  The grid is searched in two
+passes: every fourth point and the last, then the three points on either side
+of the best of them.  That finds the full grid's best point whenever the
+positive part of the grid has one peak at a resolution of four grid steps; a
+spike or dip that falls between coarse points can make it pick another cell.
+When no coarse point gives a key the whole grid is evaluated.  The refinement
+never evaluates outside the bracketing cells, so a flat-zero curve cannot send
 the search wandering.
 """
 
@@ -18,6 +23,7 @@ from .types import MAX_MEAN_PAIR_NUMBER, ParameterError, ProtocolParams, RateBre
 __all__ = ["optimize_mu", "sweep_loss"]
 
 _GRID_POINTS = 64
+_COARSE_STEP = 4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-4
 
@@ -39,14 +45,29 @@ def optimize_mu(
 
     if lo == hi:
         return at(lo)
-    grid = [at(lo * (hi / lo) ** (i / (_GRID_POINTS - 1))) for i in range(_GRID_POINTS)]
-    i_best = max(range(_GRID_POINTS), key=lambda i: (grid[i].rate_per_pulse_passive, -i))
+    pumps = [lo * (hi / lo) ** (i / (_GRID_POINTS - 1)) for i in range(_GRID_POINTS)]
+    grid: dict[int, RateBreakdown] = {}
+
+    def best_of(indices) -> int:
+        """Evaluate the grid points not yet seen; the best index seen so far."""
+        for i in indices:
+            if i not in grid:
+                grid[i] = at(pumps[i])
+        return max(grid, key=lambda i: (grid[i].rate_per_pulse_passive, -i))
+
+    last = _GRID_POINTS - 1
+    i_best = best_of([*range(0, last, _COARSE_STEP), last])
+    if grid[i_best].rate_per_pulse_passive > 0.0:
+        reach = _COARSE_STEP - 1
+        i_best = best_of(range(max(i_best - reach, 0), min(i_best + reach, last) + 1))
+    else:
+        i_best = best_of(range(_GRID_POINTS))
     best = grid[i_best]
     if best.rate_per_pulse_passive <= 0.0:
-        return grid[-1]
+        return grid[last]
 
-    a = grid[i_best - 1].mu if i_best > 0 else grid[0].mu
-    b = grid[i_best + 1].mu if i_best < _GRID_POINTS - 1 else grid[-1].mu
+    a = pumps[max(i_best - 1, 0)]
+    b = pumps[min(i_best + 1, last)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = at(c), at(d)

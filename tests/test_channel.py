@@ -221,6 +221,8 @@ _CH = derive_channel(REF)
         lambda: pair_number_tail(math.inf, 0.1),
         lambda: truncation_order(_NAN),
         lambda: truncation_order(math.inf),
+        lambda: truncation_order(1e3),
+        lambda: truncation_order(1e17),
         lambda: sample_usable_windows(_CH, _NAN, np.random.default_rng(0), 1000),
         lambda: sample_usable_windows(_CH, 1.5, np.random.default_rng(0), 1000),
         lambda: sample_usable_windows(_CH, 0.015, np.random.default_rng(0), 1.5),
@@ -230,7 +232,7 @@ _CH = derive_channel(REF)
     ids=[
         "pmf-nan-lam", "pmf-inf-lam", "pmf-nan-n", "pmf-inf-n", "pmf-nan-in-array",
         "tail-nan-lam", "tail-inf-lam", "tail-nan-m", "tail-inf-m",
-        "order-nan", "order-inf",
+        "order-nan", "order-inf", "order-1e3", "order-1e17",
         "sampler-nan-misalignment", "sampler-misalignment-above-one",
         "sampler-fractional-pulses", "sampler-nan-pulses", "sampler-pulses-above-max",
     ],

@@ -133,6 +133,15 @@ def test_params_validation(field, value):
         ProtocolParams(**{field: value})
 
 
+def test_params_block_size_is_stored_as_a_python_int():
+    p = ProtocolParams(block_size=np.int64(1000))
+    assert type(p.block_size) is int and p.block_size == 1000
+    assert type(p.replace(block_size=np.int64(2**62)).block_size) is int
+    for bad in (True, 1.5, 2**62 + 1):
+        with pytest.raises(ParameterError):
+            ProtocolParams(block_size=bad)
+
+
 def test_params_json_roundtrip():
     p = ProtocolParams(mean_pair_number=0.07, hash_family=HashFamily.TSSR)
     blob = json.dumps(p.to_json_dict())
